@@ -60,7 +60,7 @@ def environment_fingerprint() -> Dict[str, Any]:
         "system": platform.system(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        # Active matvec kernel tier: a baseline timed under cext/numba is
+        # Active matvec kernel tier: a baseline timed under cext is
         # not comparable to a run forced onto the numpy tier.
         "kernels": active_tier(),
     }

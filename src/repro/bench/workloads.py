@@ -1,12 +1,12 @@
 """The built-in benchmark battery.
 
-Four suites, registered at import time (see :mod:`repro.bench.registry`):
+Six suites, registered at import time (see :mod:`repro.bench.registry`):
 
 ``smoke``
-    The CI gate: all four catalog scenarios on both common backends
+    The CI gate: all four catalog scenarios on both backends
     (assembled and matrix-free) at their ``fast`` sizes, operator-apply
-    micro-benchmarks on all three backends, and one small end-to-end
-    analyze.  Everything here finishes in seconds.
+    micro-benchmarks on both backends, one small end-to-end analyze and
+    the ``overhead`` rows.
 ``ext-op``
     ROADMAP item 1's matrix-free vs assembled trajectory: per-apply
     micro-cost at M=1024 and M=4096 (122880 states -- past the paper's
@@ -26,6 +26,10 @@ Four suites, registered at import time (see :mod:`repro.bench.registry`):
 ``scenarios``
     The scenario grid alone (a superset marker on the same benchmarks the
     smoke suite uses), for benchmarking catalog changes in isolation.
+``overhead``
+    The instrumentation timings (also in ``smoke``): the default-spec
+    analysis plain, traced, profiled and on the resilient path.  The
+    deterministic counts behind them are asserted in ``tests/obs``.
 ``hierarchy``
     The solve-context trajectory: hierarchy construction cost vs cached
     reuse, and dense parameter sweeps cold vs through a
@@ -77,7 +81,7 @@ def _ext_op_spec(M: int):
 # ---------------------------------------------------------------------- #
 
 def _register_matvec_benchmarks() -> None:
-    for backend in ("assembled", "matrix-free", "kronecker"):
+    for backend in ("assembled", "matrix-free"):
 
         @register_benchmark(
             f"operator/rmatvec-{backend}",
@@ -176,6 +180,57 @@ def _bench_analyze_small():
         }
 
     return workload
+
+
+# ---------------------------------------------------------------------- #
+# instrumentation overhead (timed here, counted in tests/obs)
+# ---------------------------------------------------------------------- #
+
+def _overhead_mode(mode: str):
+    """The instrumentation context of one mode (none for plain/resilient)."""
+    from contextlib import nullcontext
+
+    from repro.obs import Tracer, use_tracer
+    from repro.obs.profile import profiled
+
+    if mode == "traced":
+        return use_tracer(Tracer())
+    if mode == "profiled":
+        return profiled(metrics=False)
+    return nullcontext()
+
+
+def _register_overhead_benchmarks() -> None:
+    for mode in ("plain", "traced", "profiled", "resilient"):
+
+        @register_benchmark(
+            f"overhead/analyze-{mode}",
+            suites=("smoke", "overhead"),
+            rounds=5,
+            warmup=1,
+            description=f"analyze_cdr on the default spec, {mode}; compare "
+            "against overhead/analyze-plain for the instrumentation cost",
+        )
+        def _factory(mode=mode):
+            from repro.core.analyzer import analyze_cdr
+            from repro.core.spec import CDRSpec
+
+            spec = CDRSpec()
+            resilience = True if mode == "resilient" else None
+
+            def workload():
+                with _overhead_mode(mode):
+                    res = analyze_cdr(spec, solver="auto", resilience=resilience)
+                return {
+                    "mode": mode,
+                    "n_states": res.n_states,
+                    "iterations": res.solver_result.iterations,
+                }
+
+            return workload
+
+
+_register_overhead_benchmarks()
 
 
 # ---------------------------------------------------------------------- #

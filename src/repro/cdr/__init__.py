@@ -33,7 +33,7 @@ from repro.cdr.montecarlo import (
 )
 from repro.cdr.network import build_cdr_network, compile_cdr_network
 from repro.cdr.operator import CDRTransitionOperator
-from repro.cdr.backends import KroneckerCDROperator, OperatorCDRModel
+from repro.cdr.backends import OperatorCDRModel
 from repro.cdr.phase_detector import (
     PD_LABELS,
     PD_LAG,
@@ -72,7 +72,6 @@ __all__ = [
     "compile_cdr_network",
     "CDRTransitionOperator",
     "OperatorCDRModel",
-    "KroneckerCDROperator",
     "MonteCarloResult",
     "simulate_cdr",
     "required_symbols_for_ber",

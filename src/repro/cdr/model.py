@@ -1,42 +1,35 @@
-"""Vectorized construction of the CDR Markov chain.
+"""The assembled CDR Markov chain.
 
-This builds the paper's "very large but highly structured" transition
-probability matrix for the digital phase-selection loop directly on the
-product state space
+This materializes the paper's "very large but highly structured" transition
+probability matrix for the digital phase-selection loop on the product
+state space
 
     (data-source hidden state d)  x  (counter state c)  x  (phase index m)
 
-with global index ``((d * C) + c) * M + m``.  The construction loops only
-over the small discrete alphabet (data states, phase-detector decisions,
-counter states, ``n_r`` atoms) and is fully vectorized along the phase
-axis, so million-state models assemble in seconds.
-
-Key exactness property: the eye-opening noise ``n_w`` influences the chain
-*only* through the phase detector's three-valued decision, so its atoms are
-pre-aggregated into three per-phase-index probability masses
-``P(sgn(phi_m + n_w) = -1 / 0 / +1)``.  This keeps the assembled matrix
-mathematically identical to enumerating every ``n_w`` atom while removing a
-factor of ``n_atoms(n_w)`` from both time and nonzeros.
+with global index ``((d * C) + c) * M + m``.  The chain is enumerated in
+exactly one place, :class:`~repro.cdr.operator.CDRTransitionOperator`:
+:func:`build_cdr_chain` compiles that operator and takes its coalesced
+``RollPlan`` to CSR, so the assembled and matrix-free backends hold the
+same matrix bit for bit (a test invariant), not merely up to rounding.
 
 A parallel sparse *slip-flux matrix* records the probability of every
 transition that wraps the phase error across the ``+-1/2`` UI boundary --
 the cycle-slip events whose mean spacing the paper computes "between
-certain sets of MC states".
+certain sets of MC states".  It comes from the operator's term list
+through the same wrap rule as the matrix-free ``slip_row_sums``.
 """
 
 from __future__ import annotations
 
-import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.cdr.data_source import transition_run_length_source
 from repro.cdr.loop_filter import counter_state_count
+from repro.cdr.operator import CDRTransitionOperator
 from repro.cdr.phase_error import PhaseGrid
 from repro.fsm.stochastic import MarkovSource
 from repro.markov.chain import MarkovChain
@@ -248,24 +241,6 @@ class CDRChainModel:
         )
 
 
-def _sign_masses(
-    grid: PhaseGrid, nw: DiscreteDistribution
-) -> Dict[int, np.ndarray]:
-    """Per-phase-index probability that ``sgn(phi_m + n_w)`` is -1 / 0 / +1."""
-    phi = grid.values[None, :]  # (1, M)
-    w = nw.values[:, None]      # (K, 1)
-    q = nw.probs[:, None]
-    noisy = phi + w
-    plus = (noisy > 0.0)
-    minus = (noisy < 0.0)
-    zero = ~plus & ~minus
-    return {
-        1: (q * plus).sum(axis=0),
-        0: (q * zero).sum(axis=0),
-        -1: (q * minus).sum(axis=0),
-    }
-
-
 def build_cdr_chain(
     grid: PhaseGrid,
     nw: DiscreteDistribution,
@@ -298,163 +273,40 @@ def build_cdr_chain(
         limited source with the given ``transition_density`` and
         ``max_run_length`` is used.
     """
-    if counter_length < 1:
-        raise ValueError("counter_length must be at least 1")
-    if phase_step_units < 1:
-        raise ValueError("phase_step_units must be at least 1")
-    if data_source is None:
-        data_source = transition_run_length_source(
-            "data", transition_density, max_run_length
-        )
-    for i in range(data_source.n_states):
-        if data_source.symbol(i) not in (0, 1):
-            raise ValueError(
-                "data_source must emit transition indicators (0 or 1); "
-                f"hidden state {i} emits {data_source.symbol(i)!r}"
-            )
-
     with span("cdr.build_tpm") as build_span:
-        return _assemble(
-            grid, nw, nr, counter_length, phase_step_units, data_source,
-            build_span,
+        start = time.perf_counter()
+        op = CDRTransitionOperator(
+            grid, nw, nr, counter_length, phase_step_units,
+            data_source=data_source,
+            transition_density=transition_density,
+            max_run_length=max_run_length,
         )
-
-
-def _assemble(
-    grid: PhaseGrid,
-    nw: DiscreteDistribution,
-    nr: DiscreteDistribution,
-    counter_length: int,
-    phase_step_units: int,
-    data_source: MarkovSource,
-    build_span,
-) -> CDRChainModel:
-    start = time.perf_counter()
-    M = grid.n_points
-    N = int(counter_length)
-    C = counter_state_count(N)
-    D = data_source.n_states
-    g = int(phase_step_units)
-
-    nr_steps = grid.quantize_to_steps(nr)
-    max_move = g + int(np.max(np.abs(nr_steps.values)))
-    if max_move >= M:
-        raise ValueError(
-            f"phase moves of up to {max_move} grid steps exceed the grid "
-            f"size {M}; refine the grid or reduce the step/drift"
+        P = op.to_csr()
+        E = op.slip_matrix()
+        # Stochastic by construction (decision masses and branch/drift
+        # probabilities each sum to one); skipping the row rescale keeps
+        # ``chain.P`` bit-identical to the matrix-free backend's matrix.
+        chain = MarkovChain(P, validate=False)
+        # Structure identity for hierarchy caching (repro.markov.context):
+        # the operator's roll topology, every noise probability excluded,
+        # so sweep points differing only in noise rates share one digest
+        # even though near-zero probabilities shift the CSR sparsity
+        # pattern.  Tagged so the assembled and matrix-free backends never
+        # share a cached hierarchy.
+        chain.set_structure_token(("cdr-assembled", op.structure_token()))
+        form_time = time.perf_counter() - start
+        memory_bytes = int(
+            P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
+            + E.data.nbytes + E.indices.nbytes + E.indptr.nbytes
         )
-    # If every possible phase move (the correction step G and all n_r
-    # atoms) shares a common factor with the grid size, the phase lattice
-    # decomposes into non-communicating residue classes and the stationary
-    # distribution is not unique.  Flag it early.
-    move_gcd = g
-    for r in nr_steps.values.astype(int):
-        if r != 0:
-            move_gcd = math.gcd(move_gcd, abs(r))
-    if move_gcd > 1 and math.gcd(move_gcd, M) > 1:
-        warnings.warn(
-            f"all phase moves are multiples of {move_gcd}: the phase grid "
-            f"decomposes into {math.gcd(move_gcd, M)} non-communicating "
-            "residue classes; choose a grid size or n_r discretization "
-            "that breaks the common factor",
-            RuntimeWarning,
-            stacklevel=2,
+        build_span.set_attributes(
+            n_states=op.n,
+            nnz=int(P.nnz),
+            memory_bytes=memory_bytes,
+            n_data_states=op.D,
+            n_counter_states=op.C,
+            n_phase_points=op.M,
         )
-
-    masses = _sign_masses(grid, nw)
-    ones = np.ones(M)
-    m_idx = np.arange(M)
-
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
-    s_rows: List[np.ndarray] = []
-    s_cols: List[np.ndarray] = []
-    s_vals: List[np.ndarray] = []
-
-    for d in range(D):
-        t = data_source.symbol(d)
-        branches = data_source.branches(d)
-        decisions = (
-            [(1, masses[1]), (0, masses[0]), (-1, masses[-1])]
-            if t == 1
-            else [(0, ones)]
-        )
-        for c in range(C):
-            c_val = c - (N - 1)
-            for o, q_o in decisions:
-                v = c_val + o
-                if v >= N:
-                    direction, c_next_val = 1, 0
-                elif v <= -N:
-                    direction, c_next_val = -1, 0
-                else:
-                    direction, c_next_val = 0, v
-                c_next = c_next_val + (N - 1)
-                for r_steps, q_r in zip(nr_steps.values, nr_steps.probs):
-                    shift = -g * direction + int(r_steps)
-                    m_next, wraps = grid.shift_indices(m_idx, shift)
-                    slipped = wraps != 0
-                    for d_next, p_d in branches:
-                        prob = q_o * (q_r * p_d)
-                        nz = prob > 0.0
-                        if not np.any(nz):
-                            continue
-                        row = (d * C + c) * M + m_idx[nz]
-                        col = (d_next * C + c_next) * M + m_next[nz]
-                        rows.append(row)
-                        cols.append(col)
-                        vals.append(prob[nz] if prob.ndim else np.full(nz.sum(), prob))
-                        slip_nz = nz & slipped
-                        if np.any(slip_nz):
-                            s_rows.append((d * C + c) * M + m_idx[slip_nz])
-                            s_cols.append((d_next * C + c_next) * M + m_next[slip_nz])
-                            s_vals.append(
-                                prob[slip_nz]
-                                if prob.ndim
-                                else np.full(slip_nz.sum(), prob)
-                            )
-
-    n = D * C * M
-    P = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    P.sum_duplicates()
-    if s_vals:
-        E = sp.coo_matrix(
-            (np.concatenate(s_vals), (np.concatenate(s_rows), np.concatenate(s_cols))),
-            shape=(n, n),
-        ).tocsr()
-        E.sum_duplicates()
-    else:
-        E = sp.csr_matrix((n, n))
-    chain = MarkovChain(P)
-    # Structure identity for hierarchy caching (repro.markov.context):
-    # dimensions, counter/step layout, the n_r shift pattern and the data
-    # source's transition structure -- every noise probability excluded,
-    # so sweep points differing only in noise rates share one digest even
-    # though near-zero probabilities shift the CSR sparsity pattern.
-    ds_P = data_source.chain.P.tocsr()
-    chain.set_structure_token((
-        "cdr-assembled", D, C, M, N, g,
-        tuple(int(v) for v in nr_steps.values),
-        tuple(int(data_source.symbol(s)) for s in range(D)),
-        ds_P.indptr.tobytes(), ds_P.indices.tobytes(),
-    ))
-    form_time = time.perf_counter() - start
-    memory_bytes = int(
-        P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
-        + E.data.nbytes + E.indices.nbytes + E.indptr.nbytes
-    )
-    build_span.set_attributes(
-        n_states=n,
-        nnz=int(P.nnz),
-        memory_bytes=memory_bytes,
-        n_data_states=D,
-        n_counter_states=C,
-        n_phase_points=M,
-    )
     registry = get_registry()
     registry.counter(
         "repro_tpm_builds_total", "CDR transition matrices assembled"
@@ -470,10 +322,10 @@ def _assemble(
         slip_matrix=E,
         grid=grid,
         nw=nw,
-        nr_steps=nr_steps,
-        data_source=data_source,
-        counter_length=N,
-        phase_step_units=g,
+        nr_steps=op.nr_steps,
+        data_source=op.data_source,
+        counter_length=op.counter_length,
+        phase_step_units=op.phase_step_units,
         form_time=form_time,
-        sign_masses=masses,
+        sign_masses=op._masses,
     )

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from repro.cdr.data_source import transition_run_length_source
 from repro.cdr.loop_filter import counter_state_count
-from repro.cdr.model import _sign_masses
+from repro.cdr.operator import _sign_masses
 from repro.cdr.phase_error import PhaseGrid
 from repro.fsm.stochastic import MarkovSource
 from repro.markov.chain import MarkovChain

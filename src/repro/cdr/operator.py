@@ -21,25 +21,49 @@ matrix for 1e7 states at ~9 nnz/row would already need multiple GB).
 
 from __future__ import annotations
 
+import math
 import warnings
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.cdr.data_source import transition_run_length_source
 from repro.cdr.loop_filter import counter_state_count
-from repro.cdr.model import _sign_masses
 from repro.cdr.phase_error import PhaseGrid
 from repro.fsm.stochastic import MarkovSource
 from repro.kernels import RollPlan, as_apply_block, as_apply_vector, get_kernel
 from repro.markov.lumping import Partition, prepare_block_weights
 from repro.markov.multigrid import CoarseningStrategy, pairing_hierarchy
-from repro.markov.solvers.result import StationaryResult
 from repro.noise.distributions import DiscreteDistribution
 from repro.obs import get_registry, span
 
 __all__ = ["CDRTransitionOperator"]
+
+
+def _sign_masses(
+    grid: PhaseGrid, nw: DiscreteDistribution
+) -> Dict[int, np.ndarray]:
+    """Per-phase-index probability that ``sgn(phi_m + n_w)`` is -1 / 0 / +1.
+
+    The eye-opening noise ``n_w`` influences the chain *only* through the
+    phase detector's three-valued decision, so its atoms are pre-aggregated
+    into these three masses -- exactly equivalent to enumerating every
+    atom, minus a factor of ``n_atoms(n_w)`` in terms and nonzeros.
+    """
+    phi = grid.values[None, :]  # (1, M)
+    w = nw.values[:, None]      # (K, 1)
+    q = nw.probs[:, None]
+    noisy = phi + w
+    plus = (noisy > 0.0)
+    minus = (noisy < 0.0)
+    zero = ~plus & ~minus
+    return {
+        1: (q * plus).sum(axis=0),
+        0: (q * zero).sum(axis=0),
+        -1: (q * minus).sum(axis=0),
+    }
+
 
 #: Terms per chunk when aggregating the Galerkin coarse operator; bounds
 #: the transient COO triplet storage at ~_RESTRICT_CHUNK * M entries.
@@ -49,8 +73,9 @@ _RESTRICT_CHUNK = 128
 class CDRTransitionOperator:
     """The CDR chain's transition operator, applied without assembly.
 
-    Parameters are identical to :func:`repro.cdr.model.build_cdr_chain`;
-    the operator is mathematically the same matrix (a test invariant).
+    The single place where the CDR chain is validated and enumerated:
+    :func:`repro.cdr.model.build_cdr_chain` takes the same parameters and
+    assembles :meth:`to_csr` and :meth:`slip_matrix` of this operator.
     """
 
     def __init__(
@@ -72,14 +97,19 @@ class CDRTransitionOperator:
             data_source = transition_run_length_source(
                 "data", transition_density, max_run_length
             )
+        for i in range(data_source.n_states):
+            if data_source.symbol(i) not in (0, 1):
+                raise ValueError(
+                    "data_source must emit transition indicators (0 or 1); "
+                    f"hidden state {i} emits {data_source.symbol(i)!r}"
+                )
         self.grid = grid
         self.nw = nw
         self.data_source = data_source
         self.counter_length = int(counter_length)
         self.phase_step_units = int(phase_step_units)
         self.nr_steps = grid.quantize_to_steps(nr)
-        if self.phase_step_units + int(np.max(np.abs(self.nr_steps.values))) >= grid.n_points:
-            raise ValueError("phase moves exceed the grid size")
+        self._check_phase_moves()
         self._masses = _sign_masses(grid, nw)
         with span("cdr.compile_operator") as op_span:
             self._terms = self._compile_terms()
@@ -121,7 +151,35 @@ class CDRTransitionOperator:
     def shape(self) -> Tuple[int, int]:
         return (self.n, self.n)
 
-    def _compile_terms(self) -> List[Tuple[int, int, int, int, Optional[np.ndarray], float]]:
+    def _check_phase_moves(self) -> None:
+        """Reject moves wider than the grid; warn on a decoupled lattice."""
+        g = self.phase_step_units
+        M = self.M
+        max_move = g + int(np.max(np.abs(self.nr_steps.values)))
+        if max_move >= M:
+            raise ValueError(
+                f"phase moves of up to {max_move} grid steps exceed the grid "
+                f"size {M}; refine the grid or reduce the step/drift"
+            )
+        # If every possible phase move (the correction step G and all n_r
+        # atoms) shares a common factor with the grid size, the phase
+        # lattice decomposes into non-communicating residue classes and the
+        # stationary distribution is not unique.  Flag it early.
+        move_gcd = g
+        for r in self.nr_steps.values.astype(int):
+            if r != 0:
+                move_gcd = math.gcd(move_gcd, abs(r))
+        if move_gcd > 1 and math.gcd(move_gcd, M) > 1:
+            warnings.warn(
+                f"all phase moves are multiples of {move_gcd}: the phase grid "
+                f"decomposes into {math.gcd(move_gcd, M)} non-communicating "
+                "residue classes; choose a grid size or n_r discretization "
+                "that breaks the common factor",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
+    def _compile_terms(self) -> List[Tuple[int, int, int, Optional[np.ndarray], float]]:
         """Flatten the transition structure into per-block roll terms.
 
         Each term is ``(src_block, dst_block, shift, q_vec, scalar)``:
@@ -363,92 +421,52 @@ class CDRTransitionOperator:
             ),
         )
 
-    def slip_row_sums(self) -> np.ndarray:
-        """Per-state probability of a phase-wrap (cycle-slip) transition.
+    def _slip_terms(self) -> Iterator[Tuple[int, int, int, np.ndarray, np.ndarray]]:
+        """The phase-wrapping part of every term: ``(src, dst, shift, m, w)``.
 
-        Matches ``slip_matrix.sum(axis=1)`` of the assembled model: a term
-        with circular shift ``s > 0`` wraps exactly for source phases
-        ``m >= M - s`` and ``s < 0`` for ``m < -s`` (same convention as
-        ``PhaseGrid.shift_indices``).  This is all
-        :func:`~repro.markov.passage.stationary_event_rate` needs, so slip
-        rate and MTBF work without the slip matrix ever existing.
+        A term with circular shift ``s > 0`` wraps the phase across the
+        UI boundary exactly for source phases ``m >= M - s``, and ``s < 0``
+        for ``m < -s`` (the convention of ``PhaseGrid.shift_indices``);
+        ``w`` are the term's transition probabilities at those phases.
+        This is the one wrap rule both :meth:`slip_row_sums` and
+        :meth:`slip_matrix` are derived from.
         """
         M = self.M
-        out = np.zeros((self.D * self.C, M))
-        m_idx = np.arange(M)
         for src, dst, shift, q_vec, scalar in self._terms:
             if shift == 0:
                 continue
-            wrapped = (m_idx >= M - shift) if shift > 0 else (m_idx < -shift)
-            if not np.any(wrapped):
-                continue
-            if q_vec is None:
-                out[src, wrapped] += scalar
-            else:
-                out[src, wrapped] += scalar * q_vec[wrapped]
+            m = np.arange(M - shift, M) if shift > 0 else np.arange(-shift)
+            w = np.full(m.size, scalar) if q_vec is None else scalar * q_vec[m]
+            yield src, dst, shift, m, w
+
+    def slip_row_sums(self) -> np.ndarray:
+        """Per-state probability of a phase-wrap (cycle-slip) transition.
+
+        Equals ``slip_matrix().sum(axis=1)`` without building the matrix.
+        This is all :func:`~repro.markov.passage.stationary_event_rate`
+        needs, so slip rate and MTBF work matrix-free.
+        """
+        out = np.zeros((self.D * self.C, self.M))
+        for src, _, _, m, w in self._slip_terms():
+            out[src, m] += w
         return out.ravel()
 
-    def to_kronecker(self):
-        """Kronecker/SAN descriptor of the same matrix over ``[D, C, M]``.
-
-        One descriptor term per (data state, decision, drift atom): a
-        ``D x D`` data-branch factor, a single-entry counter factor and a
-        shifted-diagonal phase factor, with the drift probability as the
-        coefficient.  The sum of terms reproduces the chain exactly (a
-        test invariant), which is what makes the ``kronecker`` backend a
-        drop-in for the matrix-free one.
-        """
-        from repro.fsm.kronecker import KroneckerDescriptor
-
-        N = self.counter_length
-        C, D, M = self.C, self.D, self.M
-        g = self.phase_step_units
-        desc = KroneckerDescriptor([D, C, M])
-        m_idx = np.arange(M)
-        for d in range(D):
-            t = self.data_source.symbol(d)
-            branches = self.data_source.branches(d)
-            d_next_idx = np.array([b[0] for b in branches])
-            d_probs = np.array([b[1] for b in branches], dtype=float)
-            data_factor = sp.csr_matrix(
-                (d_probs, (np.full(len(branches), d), d_next_idx)),
-                shape=(D, D),
-            )
-            decisions = (
-                [(1, self._masses[1]), (0, self._masses[0]), (-1, self._masses[-1])]
-                if t == 1
-                else [(0, None)]
-            )
-            for c in range(C):
-                c_val = c - (N - 1)
-                for o, q_vec in decisions:
-                    v = c_val + o
-                    if v >= N:
-                        direction, c_next_val = 1, 0
-                    elif v <= -N:
-                        direction, c_next_val = -1, 0
-                    else:
-                        direction, c_next_val = 0, v
-                    c_next = c_next_val + (N - 1)
-                    counter_factor = sp.csr_matrix(
-                        ([1.0], ([c], [c_next])), shape=(C, C)
-                    )
-                    for r_steps, q_r in zip(
-                        self.nr_steps.values, self.nr_steps.probs
-                    ):
-                        shift = -g * direction + int(r_steps)
-                        phase_vals = (
-                            np.full(M, 1.0) if q_vec is None else q_vec
-                        )
-                        phase_factor = sp.csr_matrix(
-                            (phase_vals, (m_idx, (m_idx + shift) % M)),
-                            shape=(M, M),
-                        )
-                        desc.add_term(
-                            [data_factor, counter_factor, phase_factor],
-                            coefficient=float(q_r),
-                        )
-        return desc
+    def slip_matrix(self) -> sp.csr_matrix:
+        """Sparse ``E <= P`` of the transitions that wrap the phase (slips)."""
+        M, n = self.M, self.n
+        rows, cols, vals = [], [], []
+        for src, dst, shift, m, w in self._slip_terms():
+            rows.append(src * M + m)
+            cols.append(dst * M + (m + shift) % M)
+            vals.append(w)
+        if not vals:
+            return sp.csr_matrix((n, n))
+        E = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        ).tocsr()
+        E.eliminate_zeros()
+        return E
 
     # ------------------------------------------------------------------ #
     # multigrid coarsening (the paper's phase-pairing strategy)
@@ -475,42 +493,6 @@ class CDRTransitionOperator:
         """A ready-to-use coarsening strategy for the multigrid solver."""
         return pairing_hierarchy(
             self.phase_pairing_partitions(coarsest_phase_points)
-        )
-
-    # ------------------------------------------------------------------ #
-    # matrix-free stationary solve (deprecated shim)
-    # ------------------------------------------------------------------ #
-
-    def stationary_power(
-        self,
-        tol: float = 1e-10,
-        max_iter: int = 100_000,
-        x0: Optional[np.ndarray] = None,
-        damping: float = 1.0,
-    ) -> StationaryResult:
-        """Deprecated: use ``stationary_distribution(op, method="power")``.
-
-        The private power loop is gone; this shim delegates to the solver
-        registry so matrix-free solves emit the same
-        ``repro.solver-trace/1`` telemetry as assembled ones.  The result's
-        ``method`` is now ``"power"`` (previously ``"matrix-free-power"``).
-        """
-        warnings.warn(
-            "CDRTransitionOperator.stationary_power is deprecated; use "
-            "repro.markov.stationary_distribution(operator, method='power') "
-            "(same matrix-free solve, uniform solver telemetry)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.markov.stationary import stationary_distribution
-
-        return stationary_distribution(
-            self,
-            method="power",
-            tol=tol,
-            max_iter=max_iter,
-            x0=x0,
-            damping=damping,
         )
 
     def phase_marginal(self, distribution: np.ndarray) -> np.ndarray:

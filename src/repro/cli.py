@@ -23,7 +23,7 @@ The commands mirror the library's main entry points:
     capability) and TPM backends -- the ``--solver`` / ``--backend``
     choices.
 ``kernels``
-    Show the matvec kernel tiers (numpy / cext / numba): which are
+    Show the matvec kernel tiers (numpy / cext): which are
     available in this environment, why the others are not, and which one
     ``$REPRO_KERNELS`` currently selects.
 ``faults``

@@ -372,8 +372,8 @@ def analyze_cdr(
         models and multigrid for large ones (direct LU needs the
         assembled matrix).
     backend:
-        Registered TPM backend (``assembled`` / ``matrix-free`` /
-        ``kronecker``); ``None`` uses ``spec.backend``.
+        Registered TPM backend (``assembled`` / ``matrix-free``);
+        ``None`` uses ``spec.backend``.
     resilience:
         ``None`` (default) solves directly.  ``True`` or a
         :class:`~repro.resilience.FallbackPolicy` routes the solve through

@@ -63,8 +63,8 @@ class CDRSpec:
     backend:
         How the transition matrix is realized: any name registered in
         :mod:`repro.markov.registry` (``assembled`` builds the explicit
-        sparse TPM; ``matrix-free`` and ``kronecker`` apply the operator
-        structurally without materializing it).
+        sparse TPM; ``matrix-free`` applies the operator structurally
+        without materializing it).
     """
 
     n_phase_points: int = 256

@@ -4,7 +4,7 @@ ROADMAP item 1's answer to the matrix-free matvec gap: the structural
 operators (:class:`~repro.cdr.operator.CDRTransitionOperator`,
 :class:`~repro.scenarios.operator.BranchSumOperator`) compile their term
 structure once into a :mod:`~repro.kernels.plan` and apply it through
-one of three interchangeable *kernel tiers*:
+one of two interchangeable *kernel tiers*:
 
 ``numpy``
     Pure NumPy (always available): vectorized contiguous-slice segment
@@ -13,22 +13,19 @@ one of three interchangeable *kernel tiers*:
     A ~60-line C kernel compiled on first use with whatever C compiler
     is on ``PATH`` and loaded via ctypes (no build step, no wheel).
     Available on any machine with ``cc``/``gcc``/``clang``.
-``numba``
-    ``@njit`` loops, available when the environment provides numba (this
-    repository never installs it).
 
 Selection is by the ``REPRO_KERNELS`` environment variable: ``numpy`` /
-``cext`` / ``numba`` force a tier (erroring loudly if it is
-unavailable -- a forced tier silently falling back would defeat the CI
-equivalence legs), ``auto`` (the default) picks the first available of
-numba, cext, numpy.
+``cext`` force a tier (erroring loudly if it is unavailable -- a forced
+tier silently falling back would defeat the CI equivalence legs),
+``auto`` (the default) picks ``cext`` when it builds and ``numpy``
+otherwise.
 
 Every tier is **bit-identical** to the others and to applying the
 operator's assembled CSR matrix (``to_csr()`` / its transpose): the
 plans fix one accumulation order -- ascending source column per output
 element, CSR's own order -- and every tier executes exactly that
 multiply/add sequence, with FMA contraction explicitly disabled in the
-compiled tiers.  The equivalence battery in ``tests/kernels`` and the CI
+compiled tier.  The equivalence battery in ``tests/kernels`` and the CI
 ``kernels`` job enforce this invariant across tiers, blocked vs looped
 applies, and all registered scenarios.
 
@@ -70,7 +67,7 @@ __all__ = [
 KERNEL_ENV = "REPRO_KERNELS"
 
 #: All tier names, in ``auto`` preference order.
-KERNEL_TIERS = ("numba", "cext", "numpy")
+KERNEL_TIERS = ("cext", "numpy")
 
 _lock = threading.Lock()
 _probed: Dict[str, Optional[object]] = {}
@@ -90,10 +87,6 @@ def _probe(tier: str):
                     from repro.kernels import cext_tier
 
                     _probed[tier] = cext_tier.load_tier()
-                elif tier == "numba":
-                    from repro.kernels import numba_tier
-
-                    _probed[tier] = numba_tier.load_tier()
                 else:
                     _probed[tier] = None
     return _probed[tier]
@@ -114,10 +107,6 @@ def tier_availability() -> Dict[str, Optional[str]]:
             from repro.kernels import cext_tier
 
             out[tier] = cext_tier.build_error or "unavailable"
-        elif tier == "numba":
-            from repro.kernels import numba_tier
-
-            out[tier] = numba_tier.import_error or "numba not importable"
         else:
             out[tier] = "unavailable"
     return out

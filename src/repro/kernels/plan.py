@@ -59,7 +59,7 @@ class SegmentSet:
         out[orow * M + m] += (scale * Q[qrow, m + woff]) * x[irow * M + m + xoff]
 
     All arrays are parallel, C-contiguous and int64/float64 so the
-    compiled tiers can consume their raw buffers directly.
+    compiled tier can consume their raw buffers directly.
     """
 
     __slots__ = (
@@ -235,14 +235,11 @@ class RollPlan:
         """
         M, n = self.M, self.n
         m_idx = np.arange(M)
-        rows, cols, vals = [], [], []
-        for k in range(self.n_terms):
-            rows.append(self.src[k] * M + m_idx)
-            cols.append(self.dst[k] * M + (m_idx + self.shift[k]) % M)
-            vals.append(self.scale[k] * self.q[self.qrow[k]])
+        rows = self.src[:, None] * M + m_idx
+        cols = self.dst[:, None] * M + (m_idx + self.shift[:, None]) % M
+        vals = self.scale[:, None] * self.q[self.qrow]
         P = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
+            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
         ).tocsr()
         P.sum_duplicates()
         P.eliminate_zeros()
@@ -264,7 +261,7 @@ class CSRArrays:
     """Explicit CSR index arrays for one branch-apply direction.
 
     ``rows`` repeats the row index per stored entry (what the NumPy
-    tier's ``np.bincount`` accumulation consumes); the compiled tiers use
+    tier's ``np.bincount`` accumulation consumes); the compiled tier uses
     ``indptr`` directly.
     """
 

@@ -5,7 +5,7 @@ dispatch that used to live in :mod:`repro.markov.stationary`: each solver
 module registers itself with :func:`register_solver` at import time, and
 :func:`repro.markov.stationary.stationary_distribution` looks the method
 up here.  The same pattern serves the transition-matrix *backends*
-(``assembled`` / ``matrix-free`` / ``kronecker``) that
+(``assembled`` / ``matrix-free``) that
 :mod:`repro.core.analyzer` selects from a spec's ``backend`` field; the
 builders live in :mod:`repro.cdr.backends`.
 

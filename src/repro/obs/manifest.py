@@ -84,7 +84,7 @@ def _versions() -> Dict[str, str]:
         "scipy": scipy.__version__,
         "repro": repro.__version__,
         # Which matvec kernel tier operators in this run applied through
-        # (numpy / cext / numba) -- timings are not comparable across tiers.
+        # (numpy / cext) -- timings are not comparable across tiers.
         "kernels": active_tier(),
     }
 

@@ -59,7 +59,7 @@ MEASURES = (
     citation="Demir & Feldmann, DATE 2000 (the source paper)",
     measures=MEASURES,
     sizes={"fast": _FAST, "full": _FULL},
-    backends=("assembled", "matrix-free", "kronecker"),
+    backends=("assembled", "matrix-free"),
     default_solver="krylov",
     tolerances={
         "default": Tolerance(rtol=1e-5, atol=1e-10),

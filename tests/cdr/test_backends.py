@@ -1,7 +1,8 @@
-"""Backend-equivalence suite: assembled / matrix-free / kronecker.
+"""Backend-equivalence suite: assembled / matrix-free.
 
-All three registered TPM backends must realize the *same* matrix: matvec
-and rmatvec agree on random vectors to near machine precision, structural
+Both registered TPM backends are built from the same structural operator,
+so they realize the *same* matrix bit for bit: the assembled CSR equals
+the operator's ``to_csr()`` exactly, matvec/rmatvec agree, structural
 queries (diagonal, row sums, slip flux, Galerkin restriction) match the
 assembled reference, and the stationary distribution -- and therefore BER
 and slip MTBF -- agree through the registry for every solver the backend
@@ -12,12 +13,13 @@ import numpy as np
 import pytest
 
 import repro.cdr.backends  # noqa: F401  (registers the built-in backends)
-from repro.cdr.backends import KroneckerCDROperator, OperatorCDRModel
+from repro.cdr.backends import OperatorCDRModel
 from repro.cdr.operator import CDRTransitionOperator
 from repro.core.analyzer import analyze_cdr
 from repro.core.spec import CDRSpec
 from repro.markov import as_operator, backend_names, get_backend, solver_table
 from repro.markov.lumping import Partition, lumped_tpm
+from repro.scenarios.registry import get_scenario, scenario_names
 
 pytestmark = pytest.mark.operator
 
@@ -36,18 +38,17 @@ def small_spec(**overrides) -> CDRSpec:
 
 
 @pytest.fixture(scope="module")
-def triplet():
-    """The same small spec realized by all three backends."""
+def pair():
+    """The same small spec realized by both backends."""
     spec = small_spec()
     assembled = get_backend("assembled").build(spec)
     mf = get_backend("matrix-free").build(spec)
-    kron = get_backend("kronecker").build(spec)
-    return spec, assembled, mf, kron
+    return spec, assembled, mf
 
 
 class TestRegisteredBackends:
     def test_names(self):
-        assert set(backend_names()) >= {"assembled", "kronecker", "matrix-free"}
+        assert set(backend_names()) == {"assembled", "matrix-free"}
 
     def test_unknown_backend_error(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -57,86 +58,94 @@ class TestRegisteredBackends:
         with pytest.raises(ValueError, match="unknown backend"):
             small_spec(backend="bogus")
 
-    def test_facade_types(self, triplet):
-        _, assembled, mf, kron = triplet
+    def test_facade_types(self, pair):
+        _, assembled, mf = pair
         assert isinstance(mf, OperatorCDRModel)
         assert isinstance(mf.chain, CDRTransitionOperator)
-        assert isinstance(kron.chain, KroneckerCDROperator)
         assert mf.slip_matrix is None
         assert assembled.slip_matrix is not None
 
 
 class TestMatvecAgreement:
-    """matvec/rmatvec across the three adapters, rtol 1e-12."""
+    """matvec/rmatvec and structural queries, matrix-free vs assembled."""
 
-    def test_random_vectors(self, triplet):
-        _, assembled, mf, kron = triplet
+    def test_random_vectors(self, pair):
+        _, assembled, mf = pair
         P = assembled.chain.P
-        ops = {
-            "assembled": as_operator(assembled.chain),
-            "matrix-free": mf.chain,
-            "kronecker": kron.chain,
-        }
+        ops = {"assembled": as_operator(assembled.chain), "matrix-free": mf.chain}
         rng = np.random.default_rng(42)
         for _ in range(5):
             v = rng.random(assembled.n_states)
             ref_mv = P.dot(v)
             ref_rmv = P.T.dot(v)
             for name, op in ops.items():
-                np.testing.assert_allclose(
-                    op.matvec(v), ref_mv, rtol=1e-12, atol=1e-14, err_msg=name
-                )
-                np.testing.assert_allclose(
-                    op.rmatvec(v), ref_rmv, rtol=1e-12, atol=1e-14, err_msg=name
-                )
+                np.testing.assert_array_equal(op.matvec(v), ref_mv, err_msg=name)
+                np.testing.assert_array_equal(op.rmatvec(v), ref_rmv, err_msg=name)
 
-    def test_diagonal_and_row_sums(self, triplet):
-        _, assembled, mf, kron = triplet
+    def test_diagonal_and_row_sums(self, pair):
+        _, assembled, mf = pair
         P = assembled.chain.P
-        for name, op in (("matrix-free", mf.chain), ("kronecker", kron.chain)):
-            np.testing.assert_allclose(
-                op.diagonal(), P.diagonal(), atol=1e-14, err_msg=name
-            )
-            np.testing.assert_allclose(
-                op.row_sums(), 1.0, atol=1e-12, err_msg=name
-            )
+        np.testing.assert_allclose(mf.chain.diagonal(), P.diagonal(), atol=1e-14)
+        np.testing.assert_allclose(mf.chain.row_sums(), 1.0, atol=1e-12)
 
-    def test_to_csr_reproduces_assembled(self, triplet):
-        _, assembled, mf, kron = triplet
-        P = assembled.chain.P
-        for name, op in (("matrix-free", mf.chain), ("kronecker", kron.chain)):
-            diff = abs(op.to_csr() - P)
-            assert diff.max() < 1e-14, name
+    def test_to_csr_reproduces_assembled(self, pair):
+        _, assembled, mf = pair
+        assert_assembled_is_operator_csr(assembled, mf)
 
-    def test_slip_row_sums_match_slip_matrix(self, triplet):
-        _, assembled, mf, kron = triplet
+    def test_slip_row_sums_match_slip_matrix(self, pair):
+        _, assembled, mf = pair
         ref = np.asarray(assembled.slip_matrix.sum(axis=1)).ravel()
-        for name, model in (("matrix-free", mf), ("kronecker", kron)):
-            np.testing.assert_allclose(
-                model.slip_row_sums(), ref, atol=1e-14, err_msg=name
-            )
+        np.testing.assert_allclose(mf.slip_row_sums(), ref, atol=1e-14)
 
-    def test_restrict_matches_lumped_tpm(self, triplet):
-        _, assembled, mf, kron = triplet
+    def test_restrict_matches_lumped_tpm(self, pair):
+        _, assembled, mf = pair
         part = mf.phase_pairing_partitions()[0]
         w = np.random.default_rng(7).random(assembled.n_states)
         ref = lumped_tpm(assembled.chain.P, part, weights=w)
-        for name, op in (("matrix-free", mf.chain), ("kronecker", kron.chain)):
-            C = op.restrict(part, w)
-            np.testing.assert_allclose(
-                C.toarray(), ref.toarray(), atol=1e-12, err_msg=name
-            )
+        C = mf.chain.restrict(part, w)
+        np.testing.assert_allclose(C.toarray(), ref.toarray(), atol=1e-12)
+
+
+def assert_assembled_is_operator_csr(assembled, mf):
+    """The assembled backend's matrix is the operator's CSR, bit for bit."""
+    P, Q = assembled.chain.P, mf.chain.to_csr()
+    np.testing.assert_array_equal(P.indptr, Q.indptr)
+    np.testing.assert_array_equal(P.indices, Q.indices)
+    np.testing.assert_array_equal(P.data, Q.data)
+
+
+class TestBitwiseAcrossSpecs:
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_registered_scenario_specs(self, name):
+        scenario = get_scenario(name)
+        params = scenario.params_for("fast")
+        mf = scenario.build(params, backend="matrix-free")
+        if not isinstance(mf.chain, CDRTransitionOperator):
+            pytest.skip(f"scenario {name!r} is not a CDRSpec chain")
+        assembled = scenario.build(params, backend="assembled")
+        assert_assembled_is_operator_csr(assembled, mf)
+
+    @pytest.mark.parametrize("M", [512, 2048])
+    def test_ext_op_design(self, M):
+        spec = CDRSpec(
+            n_phase_points=M, n_clock_phases=16, counter_length=8,
+            max_run_length=2, nw_std=0.08, nw_atoms=9,
+        )
+        assert_assembled_is_operator_csr(
+            get_backend("assembled").build(spec),
+            get_backend("matrix-free").build(spec),
+        )
 
 
 class TestStationaryAgreement:
     """Every backend x iterative-solver pair through the registry."""
 
-    def test_all_pairs(self, triplet):
+    def test_all_pairs(self, pair):
         from repro.markov import stationary_distribution
 
-        spec, assembled, mf, kron = triplet
+        spec, assembled, mf = pair
         ref = stationary_distribution(assembled.chain, method="direct").distribution
-        models = {"assembled": assembled, "matrix-free": mf, "kronecker": kron}
+        models = {"assembled": assembled, "matrix-free": mf}
         for entry in solver_table():
             for backend, model in models.items():
                 if not entry.matrix_free and backend == "assembled":
@@ -157,7 +166,7 @@ class TestAnalyzerAgreement:
         # cannot be expected to agree between exact and iterative solves.
         spec = small_spec(nw_std=0.25)
         ref = analyze_cdr(spec)
-        for backend in ("matrix-free", "kronecker"):
+        for backend in ("matrix-free",):
             res = analyze_cdr(spec, backend=backend, solver="multigrid", tol=1e-12)
             assert res.backend == backend
             assert res.solver_entry == "multigrid"
@@ -192,7 +201,7 @@ class TestAnalyzerAgreement:
     def test_spec_backend_round_trips(self):
         from repro.core.serialize import spec_from_dict, spec_to_dict
 
-        spec = small_spec(backend="kronecker")
+        spec = small_spec(backend="matrix-free")
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
 

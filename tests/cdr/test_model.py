@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.cdr import (
+    CDRTransitionOperator,
     PhaseGrid,
     bernoulli_transition_source,
     build_cdr_chain,
@@ -15,7 +16,11 @@ from repro.markov import classify, solve_direct, solve_multigrid
 from repro.noise import DiscreteDistribution, eye_opening_noise, sonet_drift_noise
 
 
-def small_model(**overrides):
+#: Both CDR chain constructors; they must validate their inputs alike.
+BUILDERS = (build_cdr_chain, CDRTransitionOperator)
+
+
+def small_model(build=build_cdr_chain, **overrides):
     grid = overrides.pop("grid", PhaseGrid(32))
     params = dict(
         grid=grid,
@@ -28,7 +33,7 @@ def small_model(**overrides):
         phase_step_units=overrides.pop("phase_step_units", 2),
     )
     params.update(overrides)
-    return build_cdr_chain(**params)
+    return build(**params)
 
 
 class TestBuilderBasics:
@@ -76,15 +81,16 @@ class TestBuilderBasics:
     def test_rejects_non_indicator_source(self):
         grid = PhaseGrid(16)
         bad = IIDSource("data", DiscreteDistribution([0.0, 2.0], [0.5, 0.5]))
-        with pytest.raises(ValueError, match="transition indicators"):
-            build_cdr_chain(
-                grid,
-                eye_opening_noise(0.05, n_atoms=5),
-                DiscreteDistribution.delta(0.0),
-                counter_length=2,
-                phase_step_units=1,
-                data_source=bad,
-            )
+        for build in BUILDERS:
+            with pytest.raises(ValueError, match="transition indicators"):
+                build(
+                    grid,
+                    eye_opening_noise(0.05, n_atoms=5),
+                    DiscreteDistribution.delta(0.0),
+                    counter_length=2,
+                    phase_step_units=1,
+                    data_source=bad,
+                )
 
     def test_rejects_moves_exceeding_grid(self):
         grid = PhaseGrid(4)
@@ -228,8 +234,12 @@ class TestSlipMatrix:
         assert model.slip_matrix.nnz == 0
 
     def test_decoupled_lattice_warns(self):
-        with pytest.warns(RuntimeWarning, match="non-communicating"):
-            small_model(nr=DiscreteDistribution.delta(2 * PhaseGrid(32).step))
+        for build in BUILDERS:
+            with pytest.warns(RuntimeWarning, match="non-communicating"):
+                small_model(
+                    nr=DiscreteDistribution.delta(2 * PhaseGrid(32).step),
+                    build=build,
+                )
 
     def test_slip_rate_positive_with_drift(self):
         model = small_model()

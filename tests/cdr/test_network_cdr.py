@@ -1,10 +1,21 @@
 """Cross-validation: the literal Figure-2 FSM network (S12+S14-S17) must
-agree exactly with the vectorized builder (S18)."""
+agree exactly with the vectorized builder (S18).
+
+The network shares no code with the operator's ``RollPlan``, through
+which both CDR backends are assembled, so it is the independent oracle
+for that single enumeration.
+"""
 
 import numpy as np
 import pytest
 
-from repro.cdr import PhaseGrid, build_cdr_chain, build_cdr_network, compile_cdr_network
+from repro.cdr import (
+    CDRTransitionOperator,
+    PhaseGrid,
+    build_cdr_chain,
+    build_cdr_network,
+    compile_cdr_network,
+)
 from repro.markov import (
     solve_direct,
     stationary_event_rate,
@@ -12,7 +23,7 @@ from repro.markov import (
 from repro.noise import DiscreteDistribution
 
 
-def tiny_params():
+def tiny_params(phase_step_units=3):
     grid = PhaseGrid(16)
     return dict(
         grid=grid,
@@ -21,18 +32,19 @@ def tiny_params():
             [-grid.step, 0.0, grid.step], [0.2, 0.55, 0.25]
         ),
         counter_length=2,
-        phase_step_units=3,
+        phase_step_units=phase_step_units,
         transition_density=0.5,
         max_run_length=2,
     )
 
 
+def build_pair(params):
+    return params, build_cdr_chain(**params), compile_cdr_network(**params)
+
+
 @pytest.fixture(scope="module")
 def pair():
-    params = tiny_params()
-    model = build_cdr_chain(**params)
-    nc = compile_cdr_network(**params)
-    return params, model, nc
+    return build_pair(tiny_params())
 
 
 def network_phase_marginal(nc, grid):
@@ -80,6 +92,26 @@ class TestAgreement:
         state space strictly contains the vectorized model's information."""
         params, model, nc = pair
         assert nc.n_states > model.n_states
+
+
+class TestAgreementMergedRows(TestAgreement):
+    """The same agreement with the phase step G equal to one n_r step.
+
+    Two detector decisions then reach the same (destination, shift) --
+    e.g. a saturating LEAD with +1 drift and a LAG with no drift -- so
+    the ``RollPlan`` materializes merged weight rows, the path every
+    assembled matrix now goes through.
+    """
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return build_pair(tiny_params(phase_step_units=1))
+
+    def test_covers_merged_weight_rows(self, pair):
+        params, _, _ = pair
+        # Q holds a ones row and the three decision masses; anything
+        # beyond those four is a merged row.
+        assert CDRTransitionOperator(**params)._plan.q.shape[0] > 4
 
 
 class TestNetworkStructure:

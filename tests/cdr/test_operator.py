@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cdr import CDRTransitionOperator, PhaseGrid, build_cdr_chain
-from repro.markov import solve_direct
+from repro.markov import solve_direct, stationary_distribution
 from repro.noise import DiscreteDistribution, eye_opening_noise
 
 
@@ -28,6 +28,13 @@ def pair():
     return build_cdr_chain(**p), CDRTransitionOperator(**p)
 
 
+def assert_csr_identical(A, B):
+    """Bitwise equality of two CSR matrices: structure and values."""
+    np.testing.assert_array_equal(A.indptr, B.indptr)
+    np.testing.assert_array_equal(A.indices, B.indices)
+    np.testing.assert_array_equal(A.data, B.data)
+
+
 class TestAgainstAssembledMatrix:
     def test_shapes_match(self, pair):
         model, op = pair
@@ -39,18 +46,14 @@ class TestAgainstAssembledMatrix:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.random(op.n)
-            np.testing.assert_allclose(
-                op.rmatvec(x), model.chain.P.T.dot(x), atol=1e-12
-            )
+            np.testing.assert_array_equal(op.rmatvec(x), model.chain.P.T.dot(x))
 
     def test_matvec_matches(self, pair):
         model, op = pair
         rng = np.random.default_rng(1)
         for _ in range(5):
             v = rng.random(op.n)
-            np.testing.assert_allclose(
-                op.matvec(v), model.chain.P.dot(v), atol=1e-12
-            )
+            np.testing.assert_array_equal(op.matvec(v), model.chain.P.dot(v))
 
     def test_adjoint_identity(self, pair):
         _, op = pair
@@ -84,49 +87,30 @@ class TestAgainstAssembledMatrix:
         p = params(M=M, counter=counter, g=g)
         model = build_cdr_chain(**p)
         op = CDRTransitionOperator(**p)
+        assert_csr_identical(op.to_csr(), model.chain.P)
+        assert_csr_identical(op.slip_matrix(), model.slip_matrix)
         rng = np.random.default_rng(M + counter)
         x = rng.random(op.n)
-        np.testing.assert_allclose(
-            op.rmatvec(x), model.chain.P.T.dot(x), atol=1e-12
-        )
+        np.testing.assert_array_equal(op.rmatvec(x), model.chain.P.T.dot(x))
 
 
 class TestMatrixFreeStationary:
     def test_matches_direct_solve(self, pair):
         model, op = pair
         ref = solve_direct(model.chain.P).distribution
-        with pytest.warns(DeprecationWarning, match="stationary_power"):
-            res = op.stationary_power(tol=1e-11)
+        res = stationary_distribution(op, method="power", tol=1e-11)
         assert res.converged
-        # The deprecated shim now routes through the solver registry, so
-        # the method reads "power" like every other registry solve.
         assert res.method == "power"
         assert np.abs(res.distribution - ref).sum() < 1e-8
 
-    def test_registry_path_matches_shim(self, pair):
-        from repro.markov import stationary_distribution
-
-        _, op = pair
-        with pytest.warns(DeprecationWarning):
-            shim = op.stationary_power(tol=1e-11)
-        direct = stationary_distribution(op, method="power", tol=1e-11)
-        np.testing.assert_allclose(shim.distribution, direct.distribution)
-
     def test_phase_marginal_matches(self, pair):
         model, op = pair
-        with pytest.warns(DeprecationWarning):
-            res = op.stationary_power(tol=1e-11)
+        res = stationary_distribution(op, method="power", tol=1e-11)
         np.testing.assert_allclose(
             op.phase_marginal(res.distribution),
             model.phase_marginal(res.distribution),
             atol=1e-14,
         )
-
-    def test_damping_validation(self, pair):
-        _, op = pair
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                op.stationary_power(damping=0.0)
 
     def test_large_model_runs_without_assembly(self):
         """A model size whose assembled matrix would be heavy builds and

@@ -1,7 +1,7 @@
 """The kernel equivalence battery: every tier bit-identical to CSR.
 
 The contract the kernel layer makes (and the CI ``kernels`` job runs
-under both numba and forced-numpy): for every registered scenario and
+under forced cext and forced numpy): for every registered scenario and
 every available tier, ``matvec`` / ``rmatvec`` are *bitwise* equal to
 applying the operator's assembled CSR matrix (respectively its
 transpose), blocked applies are bitwise equal to looped single-vector

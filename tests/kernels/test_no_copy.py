@@ -127,14 +127,6 @@ class TestCachedStructuralQueries:
         assert op.diagonal() is op.diagonal()
         assert not op.diagonal().flags.writeable
 
-    def test_kronecker_backend_caches(self):
-        from repro.cdr.backends import KroneckerCDROperator
-
-        op = KroneckerCDROperator(small_cdr_operator())
-        assert op.diagonal() is op.diagonal()
-        assert op.row_sums() is op.row_sums()
-        assert not op.diagonal().flags.writeable
-
     def test_kronecker_descriptor_transposes_cached(self):
         from repro.fsm.kronecker import synchronous_product
 

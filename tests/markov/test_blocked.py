@@ -120,28 +120,6 @@ class TestKroneckerBlocked:
         assert np.allclose(desc.matmat(X), M @ X)
         assert np.allclose(desc.rmatmat(X), M.T @ X)
 
-    def test_cdr_kronecker_backend_forwards(self):
-        from repro.cdr import CDRTransitionOperator, PhaseGrid
-        from repro.cdr.backends import KroneckerCDROperator
-        from repro.noise import DiscreteDistribution, eye_opening_noise
-
-        grid = PhaseGrid(16)
-        structural = CDRTransitionOperator(
-            grid=grid,
-            nw=eye_opening_noise(0.06, n_atoms=5),
-            nr=DiscreteDistribution(
-                [-grid.step, 0.0, grid.step], [0.2, 0.5, 0.3]
-            ),
-            counter_length=2,
-            phase_step_units=1,
-            max_run_length=2,
-        )
-        op = KroneckerCDROperator(structural)
-        X = np.random.default_rng(8).random((op.n, 2))
-        for j in range(2):
-            assert np.allclose(op.matmat(X)[:, j], op.matvec(X[:, j]))
-            assert np.allclose(op.rmatmat(X)[:, j], op.rmatvec(X[:, j]))
-
 
 class TestInstrumentedOperatorCountsBlocked:
     def test_matmat_counted(self):

@@ -1,101 +1,96 @@
-"""Acceptance: instrumentation overhead on a default-spec analysis < 5%.
+"""Acceptance: instrumentation adds no work to a default-spec analysis.
 
-The span layer collapses to a single context-variable lookup when no
-tracer is active, and to ~a dozen small object allocations when one is.
-Either way the cost must vanish next to the numerical work.  Measured as
-min-of-N wall time of ``analyze_cdr(CDRSpec())`` with an active tracer
-versus without one (min filters scheduler noise).
+Wall-clock overhead ratios are noise on a shared machine, so this suite
+asserts the deterministic counts behind "the instrumentation is cheap":
+tracing records a fixed handful of spans whatever the iteration count,
+the disabled profiling hook wraps nothing and records nothing, and the
+resilient happy path makes exactly the solver applies of the plain path.
+The timings themselves are the ``overhead/*`` rows of ``repro bench``
+(:mod:`repro.bench.workloads`), judged by the noise-aware compare gate.
 """
-
-import time
 
 import numpy as np
 
 from repro import CDRSpec, analyze_cdr
 from repro.markov.linop import as_operator
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer, profile, use_tracer
 from repro.obs.profile import instrument_operator, profiled
 
 
-def _min_wall(fn, rounds):
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _span_count(spans) -> int:
+    return sum(1 + _span_count(s.children) for s in spans)
 
 
-def test_tracing_overhead_below_five_percent():
+def _traced(spec, **kwargs):
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = analyze_cdr(spec, solver="auto", **kwargs)
+    return _span_count(tracer.roots), result.solver_result.iterations
+
+
+def _apply_counts(spec, **kwargs):
+    with profiled(metrics=False) as session:
+        analyze_cdr(spec, solver="auto", **kwargs)
+    return {
+        (role, kind): cell[0]
+        for role, ops in session.operators.items()
+        for kind, cell in ops.items()
+    }
+
+
+def test_tracing_span_count_is_independent_of_iterations():
+    # Spans are per pipeline stage, never per iteration: a solve that
+    # iterates more records exactly the same span tree.
     spec = CDRSpec()  # the paper's default design point
-    run = lambda: analyze_cdr(spec, solver="auto")
-
-    def traced():
-        with use_tracer(Tracer()):
-            run()
-
-    run()  # warm caches (imports, BLAS threads) outside the measurement
-    baseline = _min_wall(run, 5)
-    instrumented = _min_wall(traced, 5)
-    overhead = (instrumented - baseline) / baseline
-    assert overhead < 0.05, (
-        f"instrumented {instrumented:.3f}s vs baseline {baseline:.3f}s "
-        f"({overhead:+.1%} overhead)"
-    )
+    spans_tight, iters_tight = _traced(spec, tol=1e-10)
+    spans_loose, iters_loose = _traced(spec, tol=1e-6)
+    assert iters_tight > iters_loose
+    assert spans_tight == spans_loose <= 10
 
 
-def test_resilient_happy_path_overhead_below_five_percent():
-    # Guards + fallback bookkeeping are per-iteration float compares; on a
-    # convergent solve the whole resilient path must stay within the same
-    # 5% envelope as tracing.
+def test_resilient_happy_path_adds_no_applies():
+    # Guards and fallback bookkeeping are per-iterate float compares on a
+    # convergent solve: no extra operator application, no extra cycle.
     spec = CDRSpec()
-    plain = lambda: analyze_cdr(spec, solver="auto")
-    resilient = lambda: analyze_cdr(spec, solver="auto", resilience=True)
-
-    plain()
-    resilient()  # warm the resilience imports too
-    baseline = _min_wall(plain, 5)
-    guarded = _min_wall(resilient, 5)
-    overhead = (guarded - baseline) / baseline
-    assert overhead < 0.05, (
-        f"resilient {guarded:.3f}s vs baseline {baseline:.3f}s "
-        f"({overhead:+.1%} overhead)"
-    )
+    plain = _apply_counts(spec)
+    resilient = _apply_counts(spec, resilience=True)
+    assert plain[("solver.multigrid", "rmatvec")] > 0
+    assert resilient == plain
 
 
-def test_profiling_off_overhead_below_five_percent():
-    # instrument_operator is compiled into every solver dispatch and every
-    # measure kernel.  With no active ProfileSession it must collapse to a
-    # contextvar lookup + None check -- the baseline-scenario analysis may
-    # not slow down just because the hook exists.  Both arms below run the
-    # exact same code (the hook is unconditionally present), so this pins
-    # the absolute cost of the disabled hook against an active-session run
-    # and, more importantly, fails if someone makes the no-session path
-    # allocate.
+def test_profiling_off_records_nothing(monkeypatch):
+    # instrument_operator sits in every solver dispatch and measure kernel.
+    # With no active ProfileSession it must wrap nothing and record nothing.
+    wrapped, recorded = [], []
+    init = profile.InstrumentedOperator.__init__
+    record = profile.ProfileSession.record
+
+    def counting_init(self, *args, **kwargs):
+        wrapped.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_record(self, *args, **kwargs):
+        recorded.append(1)
+        record(self, *args, **kwargs)
+
+    monkeypatch.setattr(profile.InstrumentedOperator, "__init__", counting_init)
+    monkeypatch.setattr(profile.ProfileSession, "record", counting_record)
     spec = CDRSpec()
-    run = lambda: analyze_cdr(spec, solver="auto")
+    analyze_cdr(spec, solver="auto")
+    assert wrapped == [] and recorded == []
 
-    def under_session():
-        with profiled(metrics=False):
-            run()
-
-    run()  # warm caches outside the measurement
-    baseline = _min_wall(run, 5)
-    counting = _min_wall(under_session, 5)
-    overhead = (counting - baseline) / baseline
-    assert overhead < 0.05, (
-        f"profiled {counting:.3f}s vs baseline {baseline:.3f}s "
-        f"({overhead:+.1%} overhead)"
-    )
+    # The same hooks are live under a session (the count above is not
+    # vacuous).
+    with profiled(metrics=False):
+        analyze_cdr(spec, solver="auto")
+    assert wrapped and recorded
 
 
-def test_disabled_hook_cost_is_nanoscale():
-    # Direct micro-check of the no-session fast path: a million identity
-    # pass-throughs must complete in well under a second (~100ns each),
-    # i.e. the hook is one ContextVar.get() and a None test.
+def test_disabled_hook_is_identity():
     op = as_operator(np.eye(4))
-    t0 = time.perf_counter()
-    for _ in range(1_000_000):
-        instrument_operator(op, role="noop")
-    per_call = (time.perf_counter() - t0) / 1e6
-    assert per_call < 2e-6, f"disabled hook costs {per_call * 1e9:.0f}ns/call"
+    assert instrument_operator(op, role="noop") is op
+    with profiled(metrics=False):
+        inner = instrument_operator(op, role="noop")
+        assert inner is not op
+        # Already-instrumented operators pass through: one count per apply.
+        assert instrument_operator(inner, role="outer") is inner

@@ -86,7 +86,8 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "multigrid" in out and "matrix-free" in out
-        assert "assembled" in out and "kronecker" in out
+        backends = out.split("TPM backends")[1].split()
+        assert "assembled" in backends and "kronecker" not in backends
 
     def test_trace_flag_writes_valid_json(self, capsys, tmp_path):
         from repro.markov.monitor import TRACE_SCHEMA, load_trace
