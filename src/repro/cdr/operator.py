@@ -33,7 +33,7 @@ from repro.cdr.loop_filter import counter_state_count
 from repro.cdr.phase_error import PhaseGrid
 from repro.fsm.stochastic import MarkovSource
 from repro.kernels import RollPlan, as_apply_block, as_apply_vector, get_kernel
-from repro.markov.lumping import Partition, prepare_block_weights
+from repro.markov.lumping import Partition
 from repro.markov.multigrid import CoarseningStrategy, pairing_hierarchy
 from repro.noise.distributions import DiscreteDistribution
 from repro.obs import get_registry, span
@@ -63,11 +63,6 @@ def _sign_masses(
         0: (q * zero).sum(axis=0),
         -1: (q * minus).sum(axis=0),
     }
-
-
-#: Terms per chunk when aggregating the Galerkin coarse operator; bounds
-#: the transient COO triplet storage at ~_RESTRICT_CHUNK * M entries.
-_RESTRICT_CHUNK = 128
 
 
 class CDRTransitionOperator:
@@ -345,56 +340,15 @@ class CDRTransitionOperator:
         """
         return self._plan.to_csr()
 
-    def restrict(
-        self, partition: Partition, weights: Optional[np.ndarray] = None
-    ) -> sp.csr_matrix:
-        """Weighted Galerkin coarse operator, built without assembling ``P``.
+    def triplets(self):
+        """The matrix's entries in CSR order, one source block per chunk.
 
-        Numerically equivalent (up to summation order) to
-        ``lumped_tpm(self.to_csr(), partition, weights)`` -- the multigrid
-        coarse-level construction -- but the fine matrix never exists: each
-        roll term contributes its ``M`` COO triplets directly in coarse
-        block coordinates, aggregated in chunks of :data:`_RESTRICT_CHUNK`
-        terms so transient memory stays O(chunk * M), not O(nnz).
+        What :func:`~repro.markov.lumping.lumped_tpm` builds the Galerkin
+        coarse operators from without the fine matrix ever existing; the
+        same enumeration as :meth:`to_csr`, so matrix-free and assembled
+        coarse levels agree bit for bit.
         """
-        if partition.n_states != self.n:
-            raise ValueError("partition size does not match operator size")
-        w, block_mass = prepare_block_weights(partition, weights)
-        block = partition.block_of
-        nb = partition.n_blocks
-        M = self.M
-        m_idx = np.arange(M)
-        acc = sp.csr_matrix((nb, nb))
-        rows_c: List[np.ndarray] = []
-        cols_c: List[np.ndarray] = []
-        vals_c: List[np.ndarray] = []
-
-        def flush() -> sp.csr_matrix:
-            chunk = sp.coo_matrix(
-                (
-                    np.concatenate(vals_c),
-                    (np.concatenate(rows_c), np.concatenate(cols_c)),
-                ),
-                shape=(nb, nb),
-            ).tocsr()
-            rows_c.clear()
-            cols_c.clear()
-            vals_c.clear()
-            return chunk
-
-        for src, dst, shift, q_vec, scalar in self._terms:
-            rows = src * M + m_idx
-            cols = dst * M + (m_idx + shift) % M
-            vals = (np.full(M, scalar) if q_vec is None else scalar * q_vec)
-            rows_c.append(block[rows])
-            cols_c.append(block[cols])
-            vals_c.append(vals * w[rows])
-            if len(rows_c) >= _RESTRICT_CHUNK:
-                acc = acc + flush()
-        if rows_c:
-            acc = acc + flush()
-        acc.sum_duplicates()
-        return sp.diags(1.0 / block_mass).dot(acc).tocsr()
+        return self._plan.triplets()
 
     def structure_token(self):
         """Hashable structure identity (noise probabilities excluded).

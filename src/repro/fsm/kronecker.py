@@ -247,36 +247,20 @@ class KroneckerDescriptor:
             )
         return self.to_sparse()
 
-    def restrict(self, partition, weights=None) -> sp.csr_matrix:
-        """Weighted Galerkin coarse operator (see ``lumped_tpm``).
+    def triplets(self):
+        """The matrix's entries as per-term ``(rows, cols, vals)`` chunks.
 
-        Built term by term so the full Kronecker product never exists as
-        one matrix: each term's COO triplets are generated from its
-        factor products via :meth:`to_sparse`-style expansion of that
-        single term, aggregated into coarse block coordinates.  Transient
-        memory is O(nnz of one term), not O(nnz of the sum).
+        Each term's Kronecker product is expanded on its own, so the full
+        sum never exists as one matrix; that is all
+        :func:`~repro.markov.lumping.lumped_tpm` needs to build a Galerkin
+        coarse operator.  Terms overlap, so the chunks are not in CSR order.
         """
-        from repro.markov.lumping import prepare_block_weights
-
-        if partition.n_states != self.n:
-            raise ValueError("partition size does not match descriptor size")
-        w, block_mass = prepare_block_weights(partition, weights)
-        block = partition.block_of
-        nb = partition.n_blocks
-        acc = sp.csr_matrix((nb, nb))
         for coeff, mats in self._terms:
             term = mats[0]
             for A in mats[1:]:
                 term = sp.kron(term, A, format="coo")
             term = term.tocoo()
-            chunk = sp.coo_matrix(
-                (coeff * w[term.row] * term.data,
-                 (block[term.row], block[term.col])),
-                shape=(nb, nb),
-            ).tocsr()
-            acc = acc + chunk
-        acc.sum_duplicates()
-        return sp.diags(1.0 / block_mass).dot(acc).tocsr()
+            yield term.row, term.col, coeff * term.data
 
     def structure_token(self):
         """Hashable structure identity: factor sparsity patterns only.

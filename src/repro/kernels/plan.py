@@ -226,24 +226,39 @@ class RollPlan:
         rows.sort(key=lambda r: (r[0], r[1], r[6]))
         return SegmentSet(rows)
 
+    def triplets(self):
+        """Yield the matrix's ``(rows, cols, vals)``, one source block per chunk.
+
+        Read straight off the ``gather`` table, which is already in CSR
+        accumulation order: walking a source block's segments over their
+        valid phases column-major (phase, then segment) visits each row's
+        entries in ascending column order, so no sort is needed.  Values
+        are the plan's merged ``scale * Q[qrow]`` weights (``woff`` is 0 in
+        this direction) with explicit zeros dropped.
+        """
+        g, M = self.gather, self.M
+        phase = np.arange(M)[:, None]
+        bounds = np.searchsorted(g.orow, np.arange(self.n_blocks + 1))
+        for blk in range(self.n_blocks):
+            s = slice(bounds[blk], bounds[blk + 1])
+            vals = (g.scale[s, None] * self.q[g.qrow[s]]).T
+            keep = (phase >= g.a[s]) & (phase < g.b[s]) & (vals != 0.0)
+            rows = np.broadcast_to(blk * M + phase, keep.shape)[keep]
+            cols = (g.irow[s] * M + g.xoff[s] + phase)[keep]
+            yield rows, cols, vals[keep]
+
     def to_csr(self) -> sp.csr_matrix:
         """The explicit matrix the plan describes (O(nnz) memory).
 
-        Values are the plan's merged ``scale * Q[qrow]`` weights, so the
-        kernels' accumulation reproduces this matrix's application
-        bit-for-bit (given the CSR-order segment sort above).
+        Assembled from :meth:`triplets`, so the matrix and the Galerkin
+        coarse operators are one code path, and the kernels' accumulation
+        reproduces this matrix's application bit-for-bit (given the
+        CSR-order segment sort above).
         """
-        M, n = self.M, self.n
-        m_idx = np.arange(M)
-        rows = self.src[:, None] * M + m_idx
-        cols = self.dst[:, None] * M + (m_idx + self.shift[:, None]) % M
-        vals = self.scale[:, None] * self.q[self.qrow]
-        P = sp.coo_matrix(
-            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-        ).tocsr()
-        P.sum_duplicates()
-        P.eliminate_zeros()
-        return P
+        rows, cols, vals = (np.concatenate(c) for c in zip(*self.triplets()))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return sp.csr_matrix((vals, cols, indptr), shape=(self.n, self.n))
 
     @property
     def n_segments(self) -> int:
@@ -323,6 +338,10 @@ class BranchPlan:
     @property
     def nnz(self) -> int:
         return self.gather.nnz
+
+    def triplets(self):
+        """The matrix's entries as one canonical-CSR ``(rows, cols, vals)``."""
+        yield self.gather.rows, self.gather.cols, self.gather.vals
 
     def __repr__(self) -> str:
         return f"BranchPlan(n={self.n}, nnz={self.nnz})"

@@ -26,7 +26,8 @@ hit/miss/build-seconds counters through :mod:`repro.obs` metrics
 solvers (``preconditioner="amg"``): one V-cycle of damped-Jacobi
 smoothing plus fixed-weight Galerkin coarse corrections on the augmented
 system, applied fully matrix-free at the fine level (``rmatvec`` +
-``diagonal()`` + ``restrict`` are all it needs).
+``diagonal()`` + ``triplets()`` for the Galerkin coarse operators are all
+it needs).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from scipy.sparse.linalg import LinearOperator, splu
 from repro.markov.chain import MarkovChain
 from repro.markov.linop import (
     AssembledOperator,
-    OperatorCapabilityError,
     as_operator,
     ensure_csr,
     unwrap_operator,
@@ -154,16 +154,6 @@ class CoarseningHierarchy:
         )
 
 
-def _restrict_uniform(P_l, partition: Partition) -> sp.csr_matrix:
-    """Uniform-weight Galerkin restriction of a level operator."""
-    if sp.issparse(P_l):
-        return lumped_tpm(P_l, partition)
-    restrict = getattr(P_l, "restrict", None)
-    if restrict is not None:
-        return restrict(partition, None)
-    return lumped_tpm(ensure_csr(P_l), partition)
-
-
 def build_hierarchy(
     op,
     strategy="auto",
@@ -194,7 +184,7 @@ def build_hierarchy(
         part = strat(level, current)
         if part is None or part.n_blocks >= sizes[-1]:
             break
-        current = _restrict_uniform(current, part)
+        current = lumped_tpm(current, part)
         partitions.append(part)
         sizes.append(part.n_blocks)
         level += 1
@@ -401,7 +391,8 @@ class AMGPreconditioner:
     multigrid uses, built **once** per preconditioner with fixed weights
     (the warm-start vector when available, uniform otherwise) -- Krylov
     methods require a fixed ``M``.  The fine level is matrix-free:
-    only ``rmatvec``, ``diagonal()`` and ``restrict`` are consumed.
+    only ``rmatvec``, ``diagonal()`` and ``triplets()`` (through
+    :func:`~repro.markov.lumping.lumped_tpm`) are consumed.
     """
 
     def __init__(
@@ -432,21 +423,11 @@ class AMGPreconditioner:
         current = operator
         for part in hierarchy.partitions:
             w_l, mass = prepare_block_weights(part, w)
+            diag = current.diagonal()
+            C = lumped_tpm(current, part, weights=w_l)
             if sp.issparse(current):
-                diag = current.diagonal()
-                C = lumped_tpm(current, part, weights=w_l)
-                PT = current.T.tocsr()
-                apply_at = PT.dot
+                apply_at = current.T.tocsr().dot
             else:
-                diag = current.diagonal()
-                restrict = getattr(current, "restrict", None)
-                if restrict is None:
-                    raise OperatorCapabilityError(
-                        f"{type(unwrap_operator(current)).__name__} has no "
-                        "restrict(partition, weights); the AMG "
-                        "preconditioner needs it to build coarse levels"
-                    )
-                C = restrict(part, w_l)
                 apply_at = current.rmatvec
             a_diag = np.maximum(1.0 - diag, _DIAG_FLOOR)
             self._levels.append(

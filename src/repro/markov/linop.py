@@ -31,8 +31,10 @@ Protocol summary (duck-typed; no inheritance required):
 ``rmatmat(X)``            *optional* -- blocked ``P^T X``; column ``j`` must
                           be bit-identical to ``rmatvec(X[:, j])``
 ``to_csr()``              *optional* -- explicit CSR materialization
-``restrict(partition,     *optional* -- weighted Galerkin coarse operator
-weights)``                (what matrix-free multigrid coarsening calls)
+``triplets()``            *optional* -- the entries as ``(rows, cols, vals)``
+                          chunks in CSR order; all that
+                          :func:`~repro.markov.lumping.lumped_tpm` (the one
+                          Galerkin coarse-operator builder) consumes
 ========================  ====================================================
 
 Call sites that want blocked applies without caring whether the backend
@@ -48,7 +50,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.markov.chain import MarkovChain
-from repro.markov.lumping import Partition, lumped_tpm
 
 __all__ = [
     "OperatorCapabilityError",
@@ -152,11 +153,11 @@ class AssembledOperator:
         """
         return self._structure_token
 
-    def restrict(
-        self, partition: Partition, weights: Optional[np.ndarray] = None
-    ) -> sp.csr_matrix:
-        """Weighted Galerkin coarse operator (see :func:`lumped_tpm`)."""
-        return lumped_tpm(self.P, partition, weights=weights)
+    def triplets(self):
+        """The stored entries as one ``(rows, cols, vals)`` chunk, CSR order."""
+        P = self.P
+        rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        yield rows, P.indices, P.data
 
     def __repr__(self) -> str:
         return f"AssembledOperator(n={self.shape[0]}, nnz={self.nnz})"

@@ -26,13 +26,13 @@ strongest-coupling pairwise aggregation is provided for arbitrary chains.
 The *fine* level is matrix-free capable: any
 :class:`~repro.markov.linop.TransitionOperator` works unassembled --
 smoothing routes the Jacobi splitting through ``rmatvec``/``diagonal()``,
-the fine-level residual uses ``rmatvec``, and the first coarse operator is
-built via the operator's Galerkin ``restrict(partition, weights)``.  Coarse
-levels are always assembled CSR matrices (they are small), so levels >= 1
-run exactly as before.  Note that the *generic* pairwise coarsening
-strategy needs the assembled matrix; unassembled operators should supply a
-structural strategy (the CDR model's phase pairing) or implement
-``to_csr()``.
+the fine-level residual uses ``rmatvec``, and every coarse operator is
+built by the one Galerkin restriction,
+:func:`~repro.markov.lumping.lumped_tpm`, from the level's ``triplets()``.
+Coarse levels are always assembled CSR matrices (they are small).  Note
+that the *generic* pairwise coarsening strategy needs the assembled
+matrix; unassembled operators should supply a structural strategy (the
+CDR model's phase pairing) or implement ``to_csr()``.
 """
 
 from __future__ import annotations
@@ -357,11 +357,8 @@ class MultigridSolver:
         self._strategy = strategy or _default_strategy
         self.options = options or MultigridOptions()
         self._levels_used = 0
-        # Fine-level structures are identical on every V-cycle; cache the
-        # Jacobi splitting and the COO/block index arrays used to assemble
-        # the level-0 coarse operator.
+        # The fine-level Jacobi splitting is identical on every V-cycle.
         self._fine_split = None
-        self._fine_agg = None
 
     @property
     def levels_used(self) -> int:
@@ -394,7 +391,6 @@ class MultigridSolver:
         opt = self.options
         n = op.shape[0]
         self._fine_split = None
-        self._fine_agg = None
         x = prepare_initial_guess(n, x0)
         method = "multigrid" if opt.cycle_type == "V" else "multigrid-W"
         recorder, mon = instrument(method, n, opt.tol, monitor)
@@ -447,37 +443,6 @@ class MultigridSolver:
         # matrix-free power iteration seeded from the current iterate.
         return solve_power(P, tol=self.options.tol, x0=x).distribution
 
-    def _coarse_tpm(
-        self, P, partition: Partition, w: np.ndarray, level: int
-    ) -> sp.csr_matrix:
-        if not sp.issparse(P):
-            # Matrix-free fine level: delegate the weighted Galerkin
-            # aggregation to the operator so the fine TPM never exists.
-            restrict = getattr(P, "restrict", None)
-            if restrict is None:
-                raise OperatorCapabilityError(
-                    f"{type(P).__name__} has no restrict(partition, weights); "
-                    "matrix-free multigrid needs it to build coarse levels"
-                )
-            return restrict(partition, w)
-        if level != 0:
-            return lumped_tpm(P, partition, weights=w)
-        if self._fine_agg is None:
-            coo = P.tocoo()
-            block = partition.block_of
-            self._fine_agg = (
-                coo.row,
-                coo.data,
-                block[coo.row],
-                block[coo.col],
-                partition.n_blocks,
-            )
-        row, data, brow, bcol, nb = self._fine_agg
-        C = sp.coo_matrix((w[row] * data, (brow, bcol)), shape=(nb, nb)).tocsr()
-        C.sum_duplicates()
-        mass = np.bincount(partition.block_of, weights=w, minlength=nb)
-        return sp.diags(1.0 / mass).dot(C).tocsr()
-
     def _vcycle(
         self,
         P,
@@ -525,7 +490,7 @@ class MultigridSolver:
         for _ in range(gamma):
             w = np.maximum(x, _WEIGHT_FLOOR)
             t0 = time.perf_counter()
-            C = self._coarse_tpm(P, partition, w, level)
+            C = lumped_tpm(P, partition, weights=w)
             coarse_time += time.perf_counter() - t0
             coarse_x0 = np.bincount(
                 partition.block_of, weights=w, minlength=partition.n_blocks

@@ -10,7 +10,7 @@ the uninstrumented cost of the hooks is a single ``ContextVar.get()``:
     A transparent :class:`~repro.markov.linop.TransitionOperator` wrapper
     counting calls, per-call wall time and vector bytes moved for every
     protocol method (``matvec`` / ``rmatvec`` / ``diagonal`` /
-    ``row_sums`` and the optional ``to_csr`` / ``restrict`` /
+    ``row_sums`` and the optional ``to_csr`` / ``triplets`` /
     ``matmat`` / ``rmatmat``).  Solvers,
     multigrid levels and the scenario measure kernels wrap the operators
     they consume via :func:`instrument_operator`, which collapses to the
@@ -76,6 +76,8 @@ def _nbytes(value: Any) -> int:
     """Bytes moved by one argument/result (0 for non-array values)."""
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
+    if isinstance(value, (list, tuple)):  # e.g. triplets() chunks
+        return sum(_nbytes(v) for v in value)
     data = getattr(value, "data", None)
     if isinstance(data, np.ndarray):  # scipy sparse matrices
         total = int(data.nbytes)
@@ -92,7 +94,7 @@ class InstrumentedOperator:
 
     Satisfies the full :class:`~repro.markov.linop.TransitionOperator`
     protocol and forwards the *optional* capabilities (``to_csr``,
-    ``restrict``, the blocked ``matmat`` / ``rmatmat``) only when the
+    ``triplets``, the blocked ``matmat`` / ``rmatmat``) only when the
     wrapped operator has them, so capability
     probes (``ensure_csr``, matrix-free multigrid) behave exactly as they
     would on the bare operator.  Every forwarded call is timed and its
@@ -139,10 +141,13 @@ class InstrumentedOperator:
         # operator (AttributeError propagates for absent ones) and counted
         # when present.  Everything else forwards untouched.
         attr = getattr(self.inner, name)
-        if name in ("to_csr", "restrict", "matmat", "rmatmat") and callable(attr):
+        if name in ("to_csr", "triplets", "matmat", "rmatmat") and callable(attr):
             def counted(*args, _attr=attr, _name=name, **kwargs):
                 t0 = time.perf_counter()
                 out = _attr(*args, **kwargs)
+                if _name == "triplets":
+                    # A generator does its work when consumed: time that.
+                    out = list(out)
                 self._session.record(
                     self.role, _name, time.perf_counter() - t0, _nbytes(out)
                 )

@@ -74,7 +74,7 @@ class SimulatedWorkerKill(RuntimeError):
 class _DelegatingOperator:
     """Forward the :class:`TransitionOperator` protocol to a wrapped operator.
 
-    Deliberately does *not* forward ``to_csr``/``restrict``: an injected
+    Deliberately does *not* forward ``to_csr``/``triplets``: an injected
     fault must survive in the matrix-free path, not be assembled away.
     """
 

@@ -181,7 +181,9 @@ class BangBangScenario:
     def build(params: Mapping[str, Any], backend: str = "assembled") -> ScenarioModel:
         op = build_bangbang_operator(params)
         if backend == "assembled":
-            chain: Any = MarkovChain(op.to_csr())
+            # BranchSumOperator already validated its rows; skipping the
+            # row rescale keeps ``chain.P`` bit-identical to the operator.
+            chain: Any = MarkovChain(op.to_csr(), validate=False)
         elif backend == "matrix-free":
             chain = op
         else:

@@ -26,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.kernels import BranchPlan, as_apply_block, as_apply_vector, get_kernel
-from repro.markov.lumping import Partition, prepare_block_weights
 
 __all__ = ["BranchSumOperator"]
 
@@ -166,32 +165,15 @@ class BranchSumOperator:
         """
         return self._row_sums
 
-    def restrict(
-        self, partition: Partition, weights: Optional[np.ndarray] = None
-    ) -> sp.csr_matrix:
-        """Weighted Galerkin coarse operator, built from the branch terms.
+    def triplets(self):
+        """The matrix's entries as one canonical-CSR ``(rows, cols, vals)``.
 
-        Equivalent to ``lumped_tpm(self.to_csr(), partition, weights)``
-        but assembled directly in coarse block coordinates: each branch
-        contributes one length-``n`` triplet batch
-        ``(block[i], block[dest[i]], w_i * weight_b(i))``, so transient
-        memory stays O(n) per term.  This is what lets matrix-free
-        multigrid and the AMG preconditioner coarsen scenario chains
-        without the fine TPM ever existing.
+        The branch plan's gather arrays, the same ones :meth:`to_csr` is
+        built from -- what lets matrix-free multigrid and the AMG
+        preconditioner coarsen scenario chains (via
+        :func:`~repro.markov.lumping.lumped_tpm`) without the fine TPM.
         """
-        if partition.n_states != self.n:
-            raise ValueError("partition size does not match operator size")
-        w, block_mass = prepare_block_weights(partition, weights)
-        block = partition.block_of
-        nb = partition.n_blocks
-        acc = sp.csr_matrix((nb, nb))
-        for bw, d in self._terms:
-            chunk = sp.coo_matrix(
-                (w * bw, (block, block[d])), shape=(nb, nb)
-            ).tocsr()
-            acc = acc + chunk
-        acc.sum_duplicates()
-        return sp.diags(1.0 / block_mass).dot(acc).tocsr()
+        return self._plan.triplets()
 
     def structure_token(self):
         """Hashable structure identity: destinations, not probabilities.

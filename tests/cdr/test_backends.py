@@ -4,9 +4,9 @@ Both registered TPM backends are built from the same structural operator,
 so they realize the *same* matrix bit for bit: the assembled CSR equals
 the operator's ``to_csr()`` exactly, matvec/rmatvec agree, structural
 queries (diagonal, row sums, slip flux, Galerkin restriction) match the
-assembled reference, and the stationary distribution -- and therefore BER
-and slip MTBF -- agree through the registry for every solver the backend
-supports.
+assembled reference, multigrid solves agree bit for bit, and the
+stationary distribution -- and therefore BER and slip MTBF -- agree
+through the registry for every solver the backend supports.
 """
 
 import numpy as np
@@ -102,16 +102,19 @@ class TestMatvecAgreement:
         part = mf.phase_pairing_partitions()[0]
         w = np.random.default_rng(7).random(assembled.n_states)
         ref = lumped_tpm(assembled.chain.P, part, weights=w)
-        C = mf.chain.restrict(part, w)
-        np.testing.assert_allclose(C.toarray(), ref.toarray(), atol=1e-12)
+        C = lumped_tpm(mf.chain, part, weights=w)
+        assert_same_csr(C, ref)
+
+
+def assert_same_csr(P, Q):
+    np.testing.assert_array_equal(P.indptr, Q.indptr)
+    np.testing.assert_array_equal(P.indices, Q.indices)
+    np.testing.assert_array_equal(P.data, Q.data)
 
 
 def assert_assembled_is_operator_csr(assembled, mf):
     """The assembled backend's matrix is the operator's CSR, bit for bit."""
-    P, Q = assembled.chain.P, mf.chain.to_csr()
-    np.testing.assert_array_equal(P.indptr, Q.indptr)
-    np.testing.assert_array_equal(P.indices, Q.indices)
-    np.testing.assert_array_equal(P.data, Q.data)
+    assert_same_csr(assembled.chain.P, mf.chain.to_csr())
 
 
 class TestBitwiseAcrossSpecs:
@@ -120,10 +123,12 @@ class TestBitwiseAcrossSpecs:
         scenario = get_scenario(name)
         params = scenario.params_for("fast")
         mf = scenario.build(params, backend="matrix-free")
-        if not isinstance(mf.chain, CDRTransitionOperator):
-            pytest.skip(f"scenario {name!r} is not a CDRSpec chain")
         assembled = scenario.build(params, backend="assembled")
         assert_assembled_is_operator_csr(assembled, mf)
+        x = np.random.default_rng(11).random(mf.n_states)
+        np.testing.assert_array_equal(
+            as_operator(assembled.chain).rmatvec(x), mf.chain.rmatvec(x)
+        )
 
     @pytest.mark.parametrize("M", [512, 2048])
     def test_ext_op_design(self, M):
@@ -135,6 +140,24 @@ class TestBitwiseAcrossSpecs:
             get_backend("assembled").build(spec),
             get_backend("matrix-free").build(spec),
         )
+
+
+class TestMultigridAgreement:
+    """Both backends build their coarse levels from the same CSR-order
+    entries, so whole multigrid solves agree bit for bit."""
+
+    @pytest.mark.parametrize("nw_std", [0.05, 0.050251])
+    def test_ext_op_design_m512(self, nw_std):
+        spec = CDRSpec(
+            n_phase_points=512, n_clock_phases=16, counter_length=8,
+            max_run_length=2, nw_std=nw_std, nw_atoms=9,
+        )
+        assembled = analyze_cdr(spec, backend="assembled", solver="multigrid")
+        mf = analyze_cdr(spec, backend="matrix-free", solver="multigrid")
+        np.testing.assert_array_equal(
+            mf.solver_result.distribution, assembled.solver_result.distribution
+        )
+        assert mf.ber == assembled.ber
 
 
 class TestStationaryAgreement:

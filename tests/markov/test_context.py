@@ -12,8 +12,8 @@ operators, warm starts) stays per-solve.  These tests pin down
   operator stripped of ``to_csr`` (fully matrix-free);
 * the typed error for ``preconditioner="ilu"`` on matrix-free operators;
 * coarsening edge cases (singleton partitions, the ``coarsest_size``
-  boundary) and the Galerkin row-sum-preservation property across the
-  three backend ``restrict`` implementations.
+  boundary) and the Galerkin row-sum-preservation property of
+  ``lumped_tpm`` over the three backends' ``triplets()``.
 """
 
 import numpy as np
@@ -45,6 +45,8 @@ from repro.markov.conformance import (
 )
 from repro.markov.linop import OperatorCapabilityError, as_operator
 from repro.noise import DiscreteDistribution, eye_opening_noise
+from repro.scenarios.bangbang import build_bangbang_operator
+from repro.scenarios.registry import get_scenario
 
 
 def cdr_params(M=32, counter=3, nw_std=0.06):
@@ -62,7 +64,7 @@ def cdr_params(M=32, counter=3, nw_std=0.06):
 
 
 class StrippedOperator:
-    """A genuinely matrix-free view: protocol + restrict, no ``to_csr``."""
+    """A genuinely matrix-free view: protocol + triplets, no ``to_csr``."""
 
     def __init__(self, op):
         self._op = op
@@ -83,8 +85,8 @@ class StrippedOperator:
     def row_sums(self):
         return self._op.row_sums()
 
-    def restrict(self, partition, weights=None):
-        return self._op.restrict(partition, weights)
+    def triplets(self):
+        return self._op.triplets()
 
     def structure_token(self):
         return self._op.structure_token()
@@ -224,7 +226,7 @@ class TestKrylovAMG:
     def test_amg_works_without_to_csr(self):
         # Fully matrix-free: the operator cannot assemble itself at all,
         # so coarsening must come from structure (phase-pairing), and the
-        # preconditioner's coarse levels from restrict().
+        # preconditioner's coarse levels from triplets().
         op = StrippedOperator(CDRTransitionOperator(**cdr_params()))
         hierarchy = build_hierarchy(op, strategy="auto", coarsest_size=16)
         assert hierarchy.n_levels > 1  # coarsening actually happened
@@ -251,11 +253,11 @@ class TestKrylovAMG:
         with pytest.raises(ValueError, match="built for 32 states"):
             AMGPreconditioner(as_operator(big), hierarchy)
 
-    def test_restrictless_operator_rejected_when_levels_exist(self):
+    def test_tripletless_operator_rejected_when_levels_exist(self):
         chain = birth_death_fixture(64)
         hierarchy = build_hierarchy(chain, strategy="algebraic", coarsest_size=8)
 
-        class NoRestrict:
+        class NoTriplets:
             shape = (64, 64)
 
             def __init__(self, P):
@@ -273,8 +275,8 @@ class TestKrylovAMG:
             def row_sums(self):
                 return np.asarray(self._P.sum(axis=1)).ravel()
 
-        with pytest.raises(OperatorCapabilityError, match="restrict"):
-            AMGPreconditioner(NoRestrict(chain.P), hierarchy)
+        with pytest.raises(OperatorCapabilityError, match="triplets"):
+            AMGPreconditioner(NoTriplets(chain.P), hierarchy)
 
 
 class TestIluCapability:
@@ -362,7 +364,23 @@ class TestCoarseningEdgeCases:
 
 _ASSEMBLED = as_operator(build_cdr_chain(**cdr_params(M=16, counter=2)).chain)
 _MATRIX_FREE = CDRTransitionOperator(**cdr_params(M=16, counter=2))
+# The merged-weight-row design of tests/cdr/test_network_cdr.py: with the
+# phase step G equal to one n_r step, two decisions reach the same
+# (destination, shift) and the RollPlan materializes merged rows.
+_MERGED_ROWS = CDRTransitionOperator(
+    grid=PhaseGrid(16),
+    nw=DiscreteDistribution([-0.1, 0.0, 0.1], [0.25, 0.5, 0.25]),
+    nr=DiscreteDistribution(
+        [-PhaseGrid(16).step, 0.0, PhaseGrid(16).step], [0.2, 0.55, 0.25]
+    ),
+    counter_length=2,
+    phase_step_units=1,
+    max_run_length=2,
+)
 _KRONECKER = _kronecker_fixture()
+_BRANCH_SUM = build_bangbang_operator(
+    get_scenario("bangbang-freq").params_for("fast")
+)
 
 
 @pytest.mark.amg
@@ -382,12 +400,13 @@ class TestGalerkinRowSums:
         _, block_of = np.unique(raw, return_inverse=True)
         partition = Partition(block_of)
         weights = rng.uniform(0.1, 1.0, size=n)
-        coarse = op.restrict(partition, weights)
+        coarse = lumped_tpm(op, partition, weights)
         rows = np.asarray(coarse.sum(axis=1)).ravel()
         np.testing.assert_allclose(rows, 1.0, atol=1e-10)
 
     @pytest.mark.parametrize(
-        "op", [_MATRIX_FREE, _KRONECKER], ids=["matrix-free", "kronecker"]
+        "op", [_MATRIX_FREE, _MERGED_ROWS, _BRANCH_SUM, _KRONECKER],
+        ids=["matrix-free", "merged-rows", "branch-sum", "kronecker"],
     )
     def test_restrict_matches_assembled_lumping(self, op):
         rng = np.random.default_rng(3)
@@ -396,14 +415,23 @@ class TestGalerkinRowSums:
         _, block_of = np.unique(raw, return_inverse=True)
         partition = Partition(block_of)
         weights = rng.uniform(0.1, 1.0, size=n)
-        expected = lumped_tpm(
-            sp.csr_matrix(op.to_csr() if hasattr(op, "to_csr") else op.to_sparse()),
-            partition, weights=weights,
-        )
-        got = op.restrict(partition, weights)
-        np.testing.assert_allclose(
-            got.toarray(), expected.toarray(), atol=1e-12
-        )
+        expected = lumped_tpm(op.to_csr(), partition, weights=weights)
+        got = lumped_tpm(op, partition, weights=weights)
+        if isinstance(op, KroneckerDescriptor):
+            # Per-term chunks overlap, so the sums run in another order.
+            np.testing.assert_allclose(
+                got.toarray(), expected.toarray(), atol=1e-12
+            )
+        else:
+            # These backends yield their entries in CSR order: bit for bit.
+            np.testing.assert_array_equal(got.indptr, expected.indptr)
+            np.testing.assert_array_equal(got.indices, expected.indices)
+            np.testing.assert_array_equal(got.data, expected.data)
+
+    def test_merged_rows_input_has_merged_weight_rows(self):
+        # Q holds a ones row and the three decision masses; anything
+        # beyond those four is a merged row.
+        assert _MERGED_ROWS._plan.q.shape[0] > 4
 
 
 # --------------------------------------------------------------------- #

@@ -59,9 +59,11 @@ class TestAssembledOperator:
         mc = chain()
         part = Partition(np.arange(mc.n_states) // 3)
         w = np.random.default_rng(1).random(mc.n_states)
-        C_op = as_operator(mc).restrict(part, w)
+        C_op = lumped_tpm(as_operator(mc), part, weights=w)
         C_ref = lumped_tpm(mc.P, part, weights=w)
-        np.testing.assert_allclose(C_op.toarray(), C_ref.toarray(), atol=1e-14)
+        np.testing.assert_array_equal(C_op.indptr, C_ref.indptr)
+        np.testing.assert_array_equal(C_op.indices, C_ref.indices)
+        np.testing.assert_array_equal(C_op.data, C_ref.data)
 
     def test_idempotent_wrapping(self):
         op = as_operator(chain())
@@ -76,7 +78,7 @@ class TestAssembledOperator:
 
 
 class _MatvecOnly:
-    """Minimal duck-typed operator without to_csr."""
+    """Minimal duck-typed operator without to_csr or triplets."""
 
     def __init__(self, P):
         self._P = P.tocsr()
@@ -123,6 +125,12 @@ class TestEnsureCsr:
     def test_csr_solver_raises_cleanly_without_to_csr(self):
         with pytest.raises(OperatorCapabilityError):
             stationary_distribution(_MatvecOnly(chain().P), method="direct")
+
+    def test_galerkin_coarsening_raises_cleanly_without_triplets(self):
+        mc = chain()
+        part = Partition(np.arange(mc.n_states) // 3)
+        with pytest.raises(OperatorCapabilityError, match="triplets"):
+            lumped_tpm(_MatvecOnly(mc.P), part)
 
 
 class TestRegistry:

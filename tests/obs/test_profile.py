@@ -112,6 +112,18 @@ class TestInstrumentOperator:
             with pytest.raises(AttributeError):
                 w.to_csr
 
+    def test_triplets_counted_with_their_work(self):
+        from repro.markov.lumping import Partition, lumped_tpm
+
+        op = as_operator(_chain(n=8))
+        part = Partition(np.arange(8) // 2)
+        with profiled(metrics=False) as session:
+            C = lumped_tpm(instrument_operator(op, role="t"), part)
+            stats = session.snapshot()["operators"]["t"]["ops"]["triplets"]
+        assert stats["calls"] == 1
+        assert stats["bytes"] > 0
+        np.testing.assert_array_equal(C.data, lumped_tpm(op, part).data)
+
     def test_shape_and_repr(self):
         op = as_operator(_chain(n=9))
         with profiled(metrics=False):
