@@ -23,6 +23,7 @@ from repro.markov.classify import (
     reachable_from,
 )
 from repro.markov.lumping import (
+    GalerkinPlan,
     Partition,
     aggregate_distribution,
     is_lumpable,
@@ -150,6 +151,7 @@ __all__ = [
     "is_lumpable",
     "lump",
     "lumped_tpm",
+    "GalerkinPlan",
     "aggregate_distribution",
     "disaggregate",
     "solve_aggregation_disaggregation",

@@ -14,7 +14,12 @@ construction (cached here)
 use (stays per-solve)
     The Koury-McAllister-Stewart coarse operators are re-weighted by the
     *current iterate* inside every V-cycle; that is the mathematical core
-    of multilevel aggregation and is never cached.
+    of multilevel aggregation.  The coarse *values* are recomputed every
+    cycle.  The coarse *pattern* (a
+    :class:`~repro.markov.lumping.GalerkinPlan` per level) is computed
+    once per solve, on its first cycle, and is not cached here: a
+    matrix-free fine pattern drops exact zeros, so it can move with the
+    noise values.
 
 :class:`SolveContext` owns the hierarchy cache plus a warm-start store
 (the last stationary vector per structure), and surfaces
@@ -123,9 +128,10 @@ class CoarseningHierarchy:
     """A built (and reusable) coarsening hierarchy.
 
     Holds only *structure*: the per-level partitions and bookkeeping.
-    The weighted coarse operators are rebuilt from the current iterate on
-    every V-cycle (hierarchy *use*), so reusing this object across specs
-    that share a structure is exact, not an approximation.
+    Each solve plans its coarse patterns once and recomputes the weighted
+    coarse values from the current iterate on every V-cycle (hierarchy
+    *use*), so reusing this object across specs that share a structure is
+    exact, not an approximation.
     """
 
     digest: str

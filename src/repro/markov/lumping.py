@@ -19,10 +19,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.markov.chain import MarkovChain
-from repro.markov.linop import OperatorCapabilityError, as_operator
+from repro.markov.linop import (
+    AssembledOperator,
+    OperatorCapabilityError,
+    as_operator,
+)
+from repro.markov.solvers.jacobi import _inverse_diag
 
 __all__ = [
     "Partition",
+    "GalerkinPlan",
     "is_lumpable",
     "lump",
     "lumped_tpm",
@@ -163,6 +169,165 @@ def prepare_block_weights(
     return w, block_mass
 
 
+def _csr_of(op) -> Optional[sp.csr_matrix]:
+    """The CSR matrix behind an assembled operator, None for other operators."""
+    return op.P if isinstance(op, AssembledOperator) else None
+
+
+class GalerkinPlan:
+    """The symbolic half of :func:`lumped_tpm`, computed once per pattern.
+
+    Koury-McAllister-Stewart reweighting changes only the *values* of a
+    weighted Galerkin coarse operator; its sparsity pattern depends only on
+    the fine pattern and the partition.  A plan reads the level's entries
+    once (a CSR matrix's own arrays, or an operator's ``triplets()``) and
+    keeps:
+
+    * the coarse CSR pattern (``indptr``, ``indices``);
+    * an int32 coarse slot for every fine entry;
+    * the transpose permutation and diagonal slots of the coarse pattern,
+      from which :meth:`split` derives the coarse level's Jacobi splitting.
+
+    :meth:`coarse` is then the numeric half: one sparse matvec
+    ``slot-matrix^T @ w`` plus the ``1/mass`` row scale.  The values a
+    CSR level contributes are read from the matrix passed to
+    :meth:`coarse`, so a plan never holds a CSR level's values (multigrid's
+    coarse levels get new values every cycle, never a new pattern); an
+    operator's values are read with its entries, once.
+    """
+
+    __slots__ = (
+        "partition", "shape", "indptr", "indices", "_counts", "_slot",
+        "_fine_indptr", "_values", "_tperm", "_tindptr", "_tindices",
+        "_tdiag", "_drow", "_dpos",
+    )
+
+    def __init__(self, P, partition: Partition) -> None:
+        op = as_operator(P)
+        n = op.shape[0]
+        if partition.n_states != n:
+            raise ValueError("partition size does not match matrix size")
+        block = partition.block_of.astype(np.int32)
+        csr = _csr_of(op)
+        if csr is not None:
+            fine_indptr = csr.indptr
+            brow = np.repeat(block, np.diff(fine_indptr))
+            bcol = block.take(csr.indices)
+            self._values = None
+        else:
+            brow, bcol, fine_indptr, self._values = _read_triplets(op, block)
+        nb = partition.n_blocks
+        self.partition = partition
+        self.shape = (nb, nb)
+        pattern = sp.coo_matrix(
+            (np.ones(brow.size, dtype=bool), (brow, bcol)), shape=self.shape
+        ).tocsr()
+        nnz = pattern.nnz
+        # A same-pattern matrix whose values are their own slot numbers:
+        # sampling it maps every fine entry to its coarse slot, and its
+        # transpose's values are the transpose permutation.
+        lookup = sp.csr_matrix(
+            (np.arange(nnz, dtype=np.int32), pattern.indices, pattern.indptr),
+            shape=self.shape,
+        )
+        self._slot = np.asarray(lookup[brow, bcol]).ravel()
+        del brow, bcol
+        self._fine_indptr = np.asarray(fine_indptr, dtype=np.int32)
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        self._counts = np.diff(self.indptr)
+        T = lookup.T.tocsr()
+        self._tperm, self._tindptr, self._tindices = T.data, T.indptr, T.indices
+        blocks = np.arange(nb, dtype=np.int32)
+        self._dpos = np.flatnonzero(
+            self.indices == np.repeat(blocks, self._counts)
+        )
+        self._drow = self.indices[self._dpos]
+        self._tdiag = np.flatnonzero(
+            self._tindices == np.repeat(blocks, np.diff(self._tindptr))
+        )
+        for a in (self.indptr, self.indices, self._tindptr, self._tindices):
+            a.setflags(write=False)
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of the coarse pattern."""
+        return int(self.indices.size)
+
+    def coarse(self, P, weights: Optional[np.ndarray] = None) -> sp.csr_matrix:
+        """The weighted coarse operator of ``P`` (the numeric half).
+
+        ``P`` is the level the plan was built from, or a matrix with the
+        same pattern.  The result shares the plan's (read-only) index
+        arrays; only its ``data`` is new.
+        """
+        csr = _csr_of(as_operator(P))
+        vals = self._values if csr is None else csr.data
+        if vals is None or vals.size != self._slot.size:
+            raise ValueError("matrix does not have the plan's fine pattern")
+        w, block_mass = prepare_block_weights(self.partition, weights)
+        n = self._fine_indptr.size - 1
+        spread = sp.csr_matrix(
+            (vals, self._slot, self._fine_indptr), shape=(n, self.nnz)
+        )
+        data = spread.T @ w
+        data *= np.repeat(1.0 / block_mass, self._counts)
+        C = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        C.has_canonical_format = True
+        return C
+
+    def split(self, C: sp.csr_matrix) -> Tuple[sp.csr_matrix, np.ndarray]:
+        """Jacobi splitting of a coarse operator this plan built.
+
+        Applies bit for bit like ``jacobi_split(C)``: the transposed
+        off-diagonal factor has the same entries in the same order, with
+        the diagonal stored as explicit zeros instead of removed.
+        """
+        data = C.data
+        diag = np.zeros(self.shape[0])
+        diag[self._drow] = data.take(self._dpos)
+        tdata = data.take(self._tperm)
+        tdata[self._tdiag] = 0.0
+        off = sp.csr_matrix(
+            (tdata, self._tindices, self._tindptr), shape=self.shape
+        )
+        off.has_canonical_format = True
+        return off, _inverse_diag(diag)
+
+
+def _read_triplets(op, block: np.ndarray):
+    """Block coordinates, fine ``indptr`` and values of an operator's entries.
+
+    Chunks are mapped to block coordinates as they arrive, so the fine
+    matrix never exists; entries not in row order (overlapping Kronecker
+    terms) are stably sorted by row once.
+    """
+    triplets = getattr(op, "triplets", None)
+    if triplets is None:
+        raise OperatorCapabilityError(
+            f"{type(op).__name__} has no triplets(); Galerkin coarsening "
+            "(multigrid, AMG) needs the operator's entries"
+        )
+    rows, brow, bcol, vals = [], [], [], []
+    for r, c, v in triplets():
+        rows.append(r.astype(np.int32))
+        # take(), not fancy indexing: several times faster on the int32
+        # index arrays CSR matrices carry.
+        brow.append(block.take(r))
+        bcol.append(block.take(c))
+        vals.append(np.asarray(v, dtype=float))
+    rows, brow, bcol, vals = (
+        p[0] if len(p) == 1 else np.concatenate(p)
+        for p in (rows, brow, bcol, vals)
+    )
+    if np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        rows, brow, bcol, vals = (a[order] for a in (rows, brow, bcol, vals))
+    n = block.size
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return brow, bcol, indptr, vals
+
+
 def lumped_tpm(
     P,
     partition: Partition,
@@ -181,39 +346,15 @@ def lumped_tpm(
 
     ``P`` is a sparse/dense matrix, a chain, or any transition operator
     with ``triplets()``: the one Galerkin restriction every backend and
-    every multigrid level goes through.  The fine matrix never has to
-    exist -- each ``(rows, cols, vals)`` chunk is mapped to block
-    coordinates as it arrives.  Backends yield their entries in CSR order,
-    so an operator and its ``to_csr()`` give bit-identical coarse matrices.
+    every multigrid level goes through.  This is the one-shot form of
+    :class:`GalerkinPlan` -- plan the pattern, then one numeric pass;
+    multigrid keeps the plan and repeats only the numeric pass each
+    cycle.  The fine matrix never has to exist, and backends yield their
+    entries in CSR order, so an operator and its ``to_csr()`` give
+    bit-identical coarse matrices.
     """
     op = as_operator(P)
-    if partition.n_states != op.shape[0]:
-        raise ValueError("partition size does not match matrix size")
-    triplets = getattr(op, "triplets", None)
-    if triplets is None:
-        raise OperatorCapabilityError(
-            f"{type(op).__name__} has no triplets(); Galerkin coarsening "
-            "(multigrid, AMG) needs the operator's entries"
-        )
-    w, block_mass = prepare_block_weights(partition, weights)
-    nb = partition.n_blocks
-    block = partition.block_of.astype(np.int32)
-    brow, bcol, bval = [], [], []
-    for rows, cols, vals in triplets():
-        # take(), not fancy indexing: several times faster on the int32
-        # index arrays CSR matrices carry.
-        brow.append(block.take(rows))
-        bcol.append(block.take(cols))
-        bval.append(w.take(rows) * vals)
-
-    def cat(parts):  # a single chunk (CSR input) needs no copy
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    C = sp.coo_matrix(
-        (cat(bval), (cat(brow), cat(bcol))), shape=(nb, nb)
-    ).tocsr()
-    C.sum_duplicates()
-    return sp.diags(1.0 / block_mass).dot(C).tocsr()
+    return GalerkinPlan(op, partition).coarse(op, weights)
 
 
 def lump(

@@ -18,6 +18,15 @@ Algorithm (one V-cycle on level ``l``):
 4. prolongate multiplicatively (block-wise rescaling);
 5. post-smooth with ``nu_post`` sweeps.
 
+Step 2 changes only the coarse *values*: the coarse pattern is fixed for
+a solve.  Each level's :class:`~repro.markov.lumping.GalerkinPlan` (the
+pattern, the fine-to-coarse slot map and the coarse transpose
+permutation) is built on the first cycle and reused by every later one,
+both W-cycle corrections included.  A cycle then costs one sparse matvec
+per coarse build, and each coarse level's Jacobi split is a permutation
+of the new values (``GalerkinPlan.split``), released when that level's
+correction returns.  Only the fine split lives for the whole solve.
+
 V-cycles repeat until the fine-level residual ``||x P - x||_1`` drops below
 tolerance.  The coarsening strategy is pluggable: the CDR model supplies
 the paper's phase-pairing strategy via state labels; a generic
@@ -27,12 +36,13 @@ The *fine* level is matrix-free capable: any
 :class:`~repro.markov.linop.TransitionOperator` works unassembled --
 smoothing routes the Jacobi splitting through ``rmatvec``/``diagonal()``,
 the fine-level residual uses ``rmatvec``, and every coarse operator is
-built by the one Galerkin restriction,
-:func:`~repro.markov.lumping.lumped_tpm`, from the level's ``triplets()``.
-Coarse levels are always assembled CSR matrices (they are small).  Note
-that the *generic* pairwise coarsening strategy needs the assembled
-matrix; unassembled operators should supply a structural strategy (the
-CDR model's phase pairing) or implement ``to_csr()``.
+built by the one Galerkin restriction (the plan above, whose one-shot
+form is :func:`~repro.markov.lumping.lumped_tpm`) from the level's
+``triplets()``, which a solve reads once.  Coarse levels are always
+assembled CSR matrices (they are small).  Note that the *generic*
+pairwise coarsening strategy needs the assembled matrix; unassembled
+operators should supply a structural strategy (the CDR model's phase
+pairing) or implement ``to_csr()``.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ from repro.markov.linop import (
     ensure_csr,
     operator_residual,
 )
-from repro.markov.lumping import Partition, lumped_tpm
+from repro.markov.lumping import GalerkinPlan, Partition
 from repro.markov.monitor import NULL_MONITOR, SolverMonitor, instrument
 from repro.markov.registry import register_solver
 from repro.markov.solvers.direct import solve_direct
@@ -357,8 +367,10 @@ class MultigridSolver:
         self._strategy = strategy or _default_strategy
         self.options = options or MultigridOptions()
         self._levels_used = 0
-        # The fine-level Jacobi splitting is identical on every V-cycle.
-        self._fine_split = None
+        # Per-solve level stores: the Galerkin plan coarsening each level
+        # (pattern fixed for the solve) and each level's Jacobi split.
+        self._plans: list = []
+        self._splits: dict = {}
 
     @property
     def levels_used(self) -> int:
@@ -390,21 +402,24 @@ class MultigridSolver:
         fine = op.P if isinstance(op, AssembledOperator) else op
         opt = self.options
         n = op.shape[0]
-        self._fine_split = None
         x = prepare_initial_guess(n, x0)
         method = "multigrid" if opt.cycle_type == "V" else "multigrid-W"
         recorder, mon = instrument(method, n, opt.tol, monitor)
         start = time.perf_counter()
         converged = False
-        for cycle in range(1, opt.max_cycles + 1):
-            x = self._vcycle(fine, x, level=0, cycle=cycle, mon=mon)
-            if on_iterate is not None:
-                on_iterate(cycle, x)
-            res = operator_residual(op, x)
-            mon.iteration_finished(cycle, res, time.perf_counter() - start)
-            if res < opt.tol:
-                converged = True
-                break
+        try:
+            for cycle in range(1, opt.max_cycles + 1):
+                x = self._vcycle(fine, x, level=0, cycle=cycle, mon=mon)
+                if on_iterate is not None:
+                    on_iterate(cycle, x)
+                res = operator_residual(op, x)
+                mon.iteration_finished(cycle, res, time.perf_counter() - start)
+                if res < opt.tol:
+                    converged = True
+                    break
+        finally:
+            self._plans = []
+            self._splits = {}
         elapsed = time.perf_counter() - start
         residual = recorder.last_residual()
         if residual is None:
@@ -423,11 +438,35 @@ class MultigridSolver:
     # ------------------------------------------------------------------ #
 
     def _smooth(self, P, x: np.ndarray, sweeps: int, level: int) -> np.ndarray:
-        if level == 0:
-            if self._fine_split is None:
-                self._fine_split = jacobi_split(P)
-            return jacobi_sweeps(P, x, sweeps, split=self._fine_split)
-        return jacobi_sweeps(P, x, sweeps)
+        # The fine split holds for the whole solve; a coarse level's split
+        # comes from the plan that built it and is released when that
+        # level's correction returns.
+        split = self._splits.get(level)
+        if split is None:
+            if level == 0:
+                split = jacobi_split(P)
+            else:
+                split = self._plans[level - 1].split(P)
+            self._splits[level] = split
+        return jacobi_sweeps(P, x, sweeps, split=split)
+
+    def _plan(self, P, partition: Partition, level: int) -> GalerkinPlan:
+        """The level's Galerkin plan, built on the first cycle of a solve.
+
+        Rebuilt (with every plan below it) only when the strategy hands
+        back a different partition, which value-driven strategies may do.
+        """
+        plans = self._plans
+        if level < len(plans):
+            known = plans[level].partition
+            if known is partition or np.array_equal(
+                known.block_of, partition.block_of
+            ):
+                return plans[level]
+            del plans[level:]
+        plan = GalerkinPlan(P, partition)
+        plans.append(plan)
+        return plan
 
     def _coarsest_solve(self, P, x: np.ndarray) -> np.ndarray:
         if sp.issparse(P):
@@ -486,17 +525,20 @@ class MultigridSolver:
             return self._smooth(P, x, opt.nu_post or 1, level)
         gamma = 2 if opt.cycle_type == "W" else 1
         post_time = 0.0
-        coarse_time = 0.0
+        t0 = time.perf_counter()
+        plan = self._plan(P, partition, level)
+        coarse_time = time.perf_counter() - t0
         for _ in range(gamma):
             w = np.maximum(x, _WEIGHT_FLOOR)
             t0 = time.perf_counter()
-            C = lumped_tpm(P, partition, weights=w)
+            C = plan.coarse(P, w)
             coarse_time += time.perf_counter() - t0
             coarse_x0 = np.bincount(
                 partition.block_of, weights=w, minlength=partition.n_blocks
             )
             coarse_x0 = coarse_x0 / coarse_x0.sum()
             coarse_x = self._vcycle(C, coarse_x0, level + 1, cycle, mon)
+            self._splits.pop(level + 1, None)
             x = disaggregate(w, coarse_x, partition)
             if opt.nu_post:
                 t1 = time.perf_counter()

@@ -119,14 +119,33 @@ class TestLedgerInterop:
 
 class TestCrashResume:
     def _run_until_killed(self, tmp_path, min_points=2):
-        """Launch a warm parallel sweep, SIGKILL it after K points."""
+        """Launch a warm parallel sweep, SIGKILL it after K points.
+
+        The sweep's analyzer stalls for a minute before the last point of
+        each warm lineage (2 lineages of 3 points), so the sweep cannot
+        finish between two ledger polls: the kill always lands mid-sweep.
+        It lives in a module on ``sys.path`` so the workers can import it.
+        """
         ledger = tmp_path / "ledger.json"
+        (tmp_path / "stalling_analyzer.py").write_text(textwrap.dedent(f"""
+            import time
+            from repro.core.analyzer import analyze_cdr
+
+            LATE = {[VALUES[2], VALUES[5]]!r}
+
+            def analyze(spec, **kwargs):
+                if spec.transition_density in LATE:
+                    time.sleep(60)
+                return analyze_cdr(spec, **kwargs)
+        """))
         script = tmp_path / "run_sweep.py"
         script.write_text(textwrap.dedent(f"""
             import sys
             sys.path.insert(0, {os.path.abspath(SRC)!r})
+            sys.path.insert(0, {str(tmp_path)!r})
             from repro.cdr.sweep import sweep_parameter
             from repro.core.spec import CDRSpec
+            from stalling_analyzer import analyze
             spec = CDRSpec(
                 n_phase_points=32, n_clock_phases=16, counter_length=2,
                 max_run_length=2, nw_atoms=5,
@@ -134,6 +153,7 @@ class TestCrashResume:
             sweep_parameter(
                 spec, "transition_density", {VALUES!r}, solver="power",
                 jobs=2, warm_start=True, checkpoint_path={str(ledger)!r},
+                analyze_fn=analyze,
             )
         """))
         proc = subprocess.Popen(

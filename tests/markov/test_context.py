@@ -13,7 +13,11 @@ operators, warm starts) stays per-solve.  These tests pin down
 * the typed error for ``preconditioner="ilu"`` on matrix-free operators;
 * coarsening edge cases (singleton partitions, the ``coarsest_size``
   boundary) and the Galerkin row-sum-preservation property of
-  ``lumped_tpm`` over the three backends' ``triplets()``.
+  ``lumped_tpm`` over the three backends' ``triplets()``;
+* ``GalerkinPlan``: one plan reused across weightings matches the
+  definition of the coarse operator, its Jacobi split applies bit for bit
+  like ``jacobi_split``, and a matrix-free multigrid solve reads the fine
+  operator's ``triplets()`` once.
 """
 
 import numpy as np
@@ -23,9 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cdr import CDRTransitionOperator, PhaseGrid, build_cdr_chain
+from repro.core.spec import CDRSpec
 from repro.fsm import KroneckerDescriptor, synchronous_product
 from repro.markov import (
     AMGPreconditioner,
+    GalerkinPlan,
     MarkovChain,
     Partition,
     SolveContext,
@@ -33,6 +39,7 @@ from repro.markov import (
     lumped_tpm,
     random_chain,
     solve_direct,
+    solve_multigrid,
     stationary_distribution,
     strength_of_connection_partition,
     structural_digest,
@@ -44,7 +51,10 @@ from repro.markov.conformance import (
     nearly_uncoupled_fixture,
 )
 from repro.markov.linop import OperatorCapabilityError, as_operator
+from repro.markov.registry import get_backend
+from repro.markov.solvers.jacobi import jacobi_split
 from repro.noise import DiscreteDistribution, eye_opening_noise
+from repro.obs.profile import instrument_operator, profiled
 from repro.scenarios.bangbang import build_bangbang_operator
 from repro.scenarios.registry import get_scenario
 
@@ -432,6 +442,105 @@ class TestGalerkinRowSums:
         # Q holds a ones row and the three decision masses; anything
         # beyond those four is a merged row.
         assert _MERGED_ROWS._plan.q.shape[0] > 4
+
+
+# --------------------------------------------------------------------- #
+# Galerkin plans: symbolic once, numeric per weighting
+# --------------------------------------------------------------------- #
+
+# The EXT-OP design (16 clock phases, COUNTER=8, L=2, 9 n_w atoms) at a
+# small phase grid, on both backends.
+_EXT_OP_SPEC = CDRSpec(
+    n_phase_points=32, n_clock_phases=16, counter_length=8,
+    max_run_length=2, nw_std=0.08, nw_atoms=9,
+)
+_EXT_OP = get_backend("assembled").build(_EXT_OP_SPEC).chain.P
+_EXT_OP_FREE = get_backend("matrix-free").build(_EXT_OP_SPEC).operator
+_PLAN_INPUTS = [_EXT_OP, _EXT_OP_FREE, _MERGED_ROWS, _BRANCH_SUM, _KRONECKER]
+_PLAN_IDS = ["assembled", "ext-op", "merged-rows", "branch-sum", "kronecker"]
+
+
+def _dense(op):
+    return op.toarray() if sp.issparse(op) else op.to_csr().toarray()
+
+
+def _random_partition(n, seed=5):
+    raw = np.random.default_rng(seed).integers(0, max(2, n // 3), size=n)
+    return Partition(np.unique(raw, return_inverse=True)[1])
+
+
+def _weightings(n):
+    rng = np.random.default_rng(11)
+    return [
+        rng.uniform(0.1, 1.0, size=n),
+        rng.exponential(size=n),
+        # a stationary-vector-like tail spanning twelve decades
+        10.0 ** -np.linspace(0.0, 12.0, n)[rng.permutation(n)],
+    ]
+
+
+@pytest.mark.amg
+class TestGalerkinPlan:
+    @pytest.mark.parametrize("op", _PLAN_INPUTS, ids=_PLAN_IDS)
+    def test_reused_plan_matches_the_definition(self, op):
+        # C[I, J] = sum_{i in I} w_i sum_{j in J} P_ij / mass_I, evaluated
+        # in extended precision; one plan serves every weighting.
+        n = op.shape[0]
+        partition = _random_partition(n)
+        plan = GalerkinPlan(op, partition)
+        P = _dense(op).astype(np.longdouble)
+        V = partition.aggregation_matrix().toarray().astype(np.longdouble)
+        for w in _weightings(n):
+            wl = w.astype(np.longdouble)
+            mass = V.T @ wl
+            expected = (V.T @ (wl[:, None] * P) @ V) / mass[:, None]
+            got = plan.coarse(op, w)
+            np.testing.assert_allclose(
+                got.toarray(), expected.astype(float), rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("op", _PLAN_INPUTS, ids=_PLAN_IDS)
+    def test_plan_split_applies_like_jacobi_split(self, op):
+        n = op.shape[0]
+        plan = GalerkinPlan(op, _random_partition(n))
+        C = plan.coarse(op, _weightings(n)[2])
+        off, inv_diag = plan.split(C)
+        ref_off, ref_inv_diag = jacobi_split(C)
+        rng = np.random.default_rng(2)
+        x = rng.uniform(size=C.shape[0])
+        X = rng.uniform(size=(C.shape[0], 3))
+        np.testing.assert_array_equal(off.dot(x), ref_off.dot(x))
+        np.testing.assert_array_equal(off.dot(X), ref_off.dot(X))
+        np.testing.assert_array_equal(inv_diag, ref_inv_diag)
+
+    def test_matrix_with_another_pattern_rejected(self):
+        partition = _random_partition(_EXT_OP.shape[0])
+        plan = GalerkinPlan(_EXT_OP, partition)
+        pruned = _EXT_OP.copy()
+        pruned.data[pruned.data < 1e-3] = 0.0
+        pruned.eliminate_zeros()
+        with pytest.raises(ValueError, match="pattern"):
+            plan.coarse(pruned)
+
+    def test_matrix_free_solve_reads_triplets_once(self):
+        # Deterministic: counts calls, never times them.  Each solve plans
+        # the fine level once and reuses the pattern on every cycle.
+        op = CDRTransitionOperator(**cdr_params(M=64, counter=3))
+        with profiled(metrics=False) as session:
+            fine = instrument_operator(op, role="fine")
+            results = [
+                solve_multigrid(
+                    fine, strategy=op.multigrid_strategy(), tol=1e-12,
+                    coarsest_size=64,
+                )
+                for _ in range(2)
+            ]
+            ops = session.snapshot()["operators"]["fine"]["ops"]
+        for res in results:
+            assert res.converged
+            assert res.iterations >= 10
+        assert ops["triplets"]["calls"] == len(results)
+        assert "to_csr" not in ops
 
 
 # --------------------------------------------------------------------- #
