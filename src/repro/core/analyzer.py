@@ -271,9 +271,9 @@ def _solve_and_measure(
             result = stationary_distribution(
                 model.chain, method=solver, tol=tol, max_iter=max_iter,
                 monitor=monitor, x0=x0, **solver_kwargs,
-            )
+            ).require_converged()
             result.warm_started = warmed
-            if solve_context is not None and result.converged:
+            if solve_context is not None:
                 solve_context.record_solution(model.chain, result.distribution)
         solve_span.set_attributes(
             method=result.method,
@@ -375,7 +375,9 @@ def analyze_cdr(
         Registered TPM backend (``assembled`` / ``matrix-free``);
         ``None`` uses ``spec.backend``.
     resilience:
-        ``None`` (default) solves directly.  ``True`` or a
+        ``None`` (default) solves directly, and a solve that stops short
+        of ``tol`` raises :class:`~repro.resilience.SolverFailure`
+        instead of measuring an unconverged vector.  ``True`` or a
         :class:`~repro.resilience.FallbackPolicy` routes the solve through
         :func:`~repro.resilience.resilient_stationary`: numerical guards
         on every iterate, escalation through the registry fallback chain,

@@ -161,16 +161,13 @@ def _build() -> ctypes.CDLL:
             # benignly -- last rename wins, every file is complete.
             os.replace(tmp_so, so_path)
     lib = ctypes.CDLL(so_path)
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    f64p = ctypes.POINTER(ctypes.c_double)
+    # Buffers go in as plain addresses: converting an int through
+    # c_void_p is far cheaper than building a typed pointer per array.
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.repro_roll_apply.restype = None
-    lib.repro_roll_apply.argtypes = [f64p, f64p, f64p, f64p] + [i64p] * 7 + [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
-    ]
+    lib.repro_roll_apply.argtypes = [ptr] * 11 + [i64] * 3
     lib.repro_csr_apply.restype = None
-    lib.repro_csr_apply.argtypes = [
-        f64p, f64p, f64p, i64p, i64p, ctypes.c_int64, ctypes.c_int64
-    ]
+    lib.repro_csr_apply.argtypes = [ptr] * 5 + [i64] * 2
     return lib
 
 
@@ -191,27 +188,35 @@ def load_tier():
     return sys.modules[__name__]
 
 
-def _f64(arr: np.ndarray):
-    return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+def _bind_roll(q: np.ndarray, segs) -> tuple:
+    """The roll kernel's plan arguments: ``q`` plus addresses and sizes."""
+    arrays = (
+        q, segs.scale, segs.orow, segs.irow, segs.qrow,
+        segs.a, segs.b, segs.xoff, segs.woff,
+    )
+    return q, (*(a.ctypes.data for a in arrays), segs.n_segments, q.shape[1])
 
 
-def _i64(arr: np.ndarray):
-    return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+def _bind_csr(cs) -> tuple:
+    """The CSR kernel's plan arguments: addresses and row count."""
+    return (cs.vals.ctypes.data, cs.cols.ctypes.data, cs.indptr.ctypes.data,
+            cs.n_rows)
 
 
 def roll_apply(q: np.ndarray, segs, x: np.ndarray, out: np.ndarray) -> None:
+    # The plan's arrays are immutable, so their addresses are bound once
+    # per segment table (holding ``q`` keeps the bound buffer alive); only
+    # ``x`` and ``out`` are converted per call.
+    bound = segs.c_args
+    if bound is None or bound[0] is not q:
+        bound = segs.c_args = _bind_roll(q, segs)
     nvec = 1 if x.ndim == 1 else x.shape[1]
-    _lib.repro_roll_apply(
-        _f64(x), _f64(out), _f64(q), _f64(segs.scale),
-        _i64(segs.orow), _i64(segs.irow), _i64(segs.qrow),
-        _i64(segs.a), _i64(segs.b), _i64(segs.xoff), _i64(segs.woff),
-        segs.n_segments, q.shape[1], nvec,
-    )
+    _lib.repro_roll_apply(x.ctypes.data, out.ctypes.data, *bound[1], nvec)
 
 
 def csr_apply(cs, x: np.ndarray, out: np.ndarray) -> None:
+    bound = cs.c_args
+    if bound is None:
+        bound = cs.c_args = _bind_csr(cs)
     nvec = 1 if x.ndim == 1 else x.shape[1]
-    _lib.repro_csr_apply(
-        _f64(x), _f64(out), _f64(cs.vals), _i64(cs.cols), _i64(cs.indptr),
-        cs.n_rows, nvec,
-    )
+    _lib.repro_csr_apply(x.ctypes.data, out.ctypes.data, *bound, nvec)

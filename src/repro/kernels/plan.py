@@ -51,7 +51,31 @@ import scipy.sparse as sp
 __all__ = ["SegmentSet", "RollPlan", "CSRArrays", "BranchPlan"]
 
 
-class SegmentSet:
+class _Bindable:
+    """A plan table whose arrays a kernel tier may bind once.
+
+    ``c_args`` holds the compiled tier's bound arguments: raw buffer
+    addresses, valid only for this object's arrays in this process.
+    Pickling and copying therefore drop it, and the copy binds its own.
+    """
+
+    __slots__ = ("c_args",)
+
+    def __getstate__(self):
+        return {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in getattr(cls, "__slots__", ())
+            if name != "c_args" and hasattr(self, name)
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.c_args = None
+
+
+class SegmentSet(_Bindable):
     """One apply direction's segment table, in CSR accumulation order.
 
     A segment applies, for ``m`` in ``[a, b)``::
@@ -59,7 +83,10 @@ class SegmentSet:
         out[orow * M + m] += (scale * Q[qrow, m + woff]) * x[irow * M + m + xoff]
 
     All arrays are parallel, C-contiguous and int64/float64 so the
-    compiled tier can consume their raw buffers directly.
+    compiled tier can consume their raw buffers directly.  They are never
+    modified after construction, so each tier may cache what it derives
+    from them: :meth:`rows` for the NumPy tier, ``c_args`` (the bound
+    buffer addresses, set on first apply) for the compiled tier.
     """
 
     __slots__ = (
@@ -79,6 +106,7 @@ class SegmentSet:
         self.woff = np.ascontiguousarray(cols[7], dtype=np.int64)
         self.n_segments = len(rows)
         self._rows: Optional[List[Tuple]] = None
+        self.c_args: Optional[Tuple] = None
 
     def rows(self) -> List[Tuple]:
         """Plain-Python tuples for the NumPy tier's segment loop (cached)."""
@@ -272,12 +300,13 @@ class RollPlan:
         )
 
 
-class CSRArrays:
+class CSRArrays(_Bindable):
     """Explicit CSR index arrays for one branch-apply direction.
 
     ``rows`` repeats the row index per stored entry (what the NumPy
     tier's ``np.bincount`` accumulation consumes); the compiled tier uses
-    ``indptr`` directly.
+    ``indptr`` directly and caches the arrays' bound addresses in
+    ``c_args`` on first apply (the arrays are never modified).
     """
 
     __slots__ = ("indptr", "cols", "vals", "rows", "n_rows")
@@ -307,6 +336,7 @@ class CSRArrays:
         self.vals = np.ascontiguousarray(v, dtype=np.float64)
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1)).astype(np.int64)
         self.n_rows = int(n)
+        self.c_args: Optional[Tuple] = None
 
     @property
     def nnz(self) -> int:

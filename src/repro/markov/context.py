@@ -50,10 +50,14 @@ from repro.markov.chain import MarkovChain
 from repro.markov.linop import (
     AssembledOperator,
     as_operator,
-    ensure_csr,
     unwrap_operator,
 )
-from repro.markov.lumping import Partition, lumped_tpm, prepare_block_weights
+from repro.markov.lumping import (
+    Partition,
+    entries_csr,
+    lumped_tpm,
+    prepare_block_weights,
+)
 from repro.markov.multigrid import (
     CoarseningStrategy,
     pairing_hierarchy,
@@ -441,9 +445,11 @@ class AMGPreconditioner:
             )
             current = C
             w = mass
-        coarsest = current if sp.issparse(current) else ensure_csr(current)
+        # With no coarse level the fine operator is the coarsest system;
+        # its matrix then comes from triplets(), like every coarse level's.
         from repro.markov.solvers.direct import augmented_system
 
+        coarsest = entries_csr(current)
         self._coarse_lu = splu(augmented_system(coarsest).tocsc())
 
     # ------------------------------------------------------------------ #

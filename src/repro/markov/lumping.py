@@ -32,6 +32,7 @@ __all__ = [
     "is_lumpable",
     "lump",
     "lumped_tpm",
+    "entries_csr",
     "prepare_block_weights",
     "aggregate_distribution",
 ]
@@ -355,6 +356,22 @@ def lumped_tpm(
     """
     op = as_operator(P)
     return GalerkinPlan(op, partition).coarse(op, weights)
+
+
+def entries_csr(P) -> sp.csr_matrix:
+    """``P``'s explicit CSR matrix, read through the Galerkin restriction.
+
+    An assembled level is returned as is.  An operator is lumped onto the
+    identity partition with unit weights, which is exact (each entry is
+    scaled by 1.0), so only ``triplets()`` is consumed -- never
+    ``to_csr()``.  The AMG preconditioner and the generic coarsening
+    strategies read unassembled levels this way.
+    """
+    op = as_operator(P)
+    csr = _csr_of(op)
+    if csr is not None:
+        return csr
+    return lumped_tpm(op, Partition.identity(op.shape[0]))
 
 
 def lump(

@@ -39,10 +39,10 @@ the fine-level residual uses ``rmatvec``, and every coarse operator is
 built by the one Galerkin restriction (the plan above, whose one-shot
 form is :func:`~repro.markov.lumping.lumped_tpm`) from the level's
 ``triplets()``, which a solve reads once.  Coarse levels are always
-assembled CSR matrices (they are small).  Note that the *generic*
-pairwise coarsening strategy needs the assembled matrix; unassembled
-operators should supply a structural strategy (the CDR model's phase
-pairing) or implement ``to_csr()``.
+assembled CSR matrices (they are small).  The generic pairwise and
+algebraic coarsening strategies read an unassembled level's matrix from
+``triplets()`` too (:func:`~repro.markov.lumping.entries_csr`); a
+structural strategy (the CDR model's phase pairing) avoids that copy.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ from repro.markov.linop import (
     AssembledOperator,
     OperatorCapabilityError,
     as_operator,
-    ensure_csr,
     operator_residual,
 )
-from repro.markov.lumping import GalerkinPlan, Partition
+from repro.markov.lumping import GalerkinPlan, Partition, entries_csr
 from repro.markov.monitor import NULL_MONITOR, SolverMonitor, instrument
 from repro.markov.registry import register_solver
 from repro.markov.solvers.direct import solve_direct
@@ -92,10 +91,8 @@ CoarseningStrategy = Callable[[int, sp.csr_matrix], Optional[Partition]]
 
 
 def _default_strategy(level: int, P) -> Partition:
-    """Generic coarsening for arbitrary inputs (assembles operators)."""
-    if not sp.issparse(P):
-        P = ensure_csr(P)
-    return pairwise_strength_partition(P)
+    """Generic coarsening for arbitrary inputs (reads operators' entries)."""
+    return pairwise_strength_partition(entries_csr(P))
 
 
 def pairwise_strength_partition(P: sp.csr_matrix) -> Partition:
@@ -257,9 +254,7 @@ def _pairwise_factory(op) -> CoarseningStrategy:
 @register_coarsening("algebraic")
 def _algebraic_factory(op, theta: float = 0.25) -> CoarseningStrategy:
     def strategy(level: int, P) -> Optional[Partition]:
-        if not sp.issparse(P):
-            P = ensure_csr(P)
-        return strength_of_connection_partition(P, theta=theta)
+        return strength_of_connection_partition(entries_csr(P), theta=theta)
     return strategy
 
 

@@ -8,8 +8,12 @@ normalization), optionally preconditioned.
 Preconditioners:
 
 ``"auto"`` (default)
-    ILU when the matrix is assembled, none otherwise -- the historical
-    behaviour.
+    ILU when the matrix is assembled; AMG when it is not but exposes
+    ``triplets()`` (all the AMG preconditioner reads); none otherwise.
+    Unpreconditioned GMRES can stall on drift-dominated chains (a
+    bang-bang frequency detector ran 5,000 iterations without
+    converging), so a matrix-free operator gets the hierarchy whenever
+    it can build one.
 ``"ilu"``
     Incomplete-LU right preconditioning.  Needs the assembled matrix:
     requesting it explicitly on a matrix-free operator raises a typed
@@ -98,16 +102,17 @@ def solve_krylov(
     variant:
         ``"gmres"`` (default) or ``"bicgstab"``.
     preconditioner:
-        ``"auto"`` (ILU when assembled, none otherwise), ``"ilu"``,
-        ``"amg"`` (one hierarchy V-cycle, matrix-free capable) or
-        ``None``.  ILU can fail on highly structured singular-ish
-        systems; in that case the solver transparently retries
-        unpreconditioned.  Explicit ``"ilu"`` on a matrix-free operator
+        ``"auto"`` (ILU when assembled, AMG when unassembled with
+        ``triplets()``, none otherwise), ``"ilu"``, ``"amg"`` (one
+        hierarchy V-cycle, matrix-free capable) or ``None``.  ILU can
+        fail on highly structured singular-ish systems; in that case the
+        solver transparently retries unpreconditioned.  Explicit ``"ilu"`` on a matrix-free operator
         raises :class:`~repro.markov.linop.OperatorCapabilityError`.
     restart:
         GMRES restart length.
     hierarchy:
-        For ``preconditioner="amg"``: a prebuilt
+        For an AMG preconditioner (explicit or resolved from
+        ``"auto"``): a prebuilt
         :class:`~repro.markov.context.CoarseningHierarchy` or a
         :class:`~repro.markov.context.SolveContext`; built fresh when
         omitted.
@@ -130,7 +135,12 @@ def solve_krylov(
     assembled = isinstance(op, AssembledOperator)
     resolved = preconditioner
     if resolved == "auto":
-        resolved = "ilu" if assembled else None
+        if assembled:
+            resolved = "ilu"
+        elif callable(getattr(op, "triplets", None)):
+            resolved = "amg"
+        else:
+            resolved = None
     if resolved == "ilu" and not assembled:
         raise OperatorCapabilityError(
             f"{type(op).__name__} cannot be ILU-preconditioned: ILU "

@@ -193,6 +193,28 @@ class StationaryResult:
             return None
         return float((h[-1] / h[0]) ** (1.0 / (len(h) - 1)))
 
+    def require_converged(self) -> "StationaryResult":
+        """This result, if the solve reached its tolerance.
+
+        Code that turns the distribution into a measure calls this, so an
+        unconverged iterate never reaches one.  Otherwise raises
+        :class:`~repro.resilience.errors.SolverFailure` carrying
+        ``method``, ``iteration`` and ``residual``; callers that want
+        recovery route the solve through the resilient fallback chain.
+        """
+        if not self.converged:
+            from repro.resilience.errors import SolverFailure
+
+            raise SolverFailure(
+                f"{self.method} did not converge: stopped after "
+                f"{self.iterations} iterations at residual "
+                f"{self.residual:.3e}",
+                method=self.method,
+                iteration=self.iterations,
+                residual=self.residual,
+            )
+        return self
+
     def summary(self) -> str:
         status = "converged" if self.converged else "NOT converged"
         return (

@@ -211,8 +211,9 @@ class BangBangScenario:
         grid = PhaseGrid(M)
         n = model.n_states
 
-        result = stationary_distribution(model.chain, method=solver, tol=tol)
-        pi = result.distribution
+        pi = stationary_distribution(
+            model.chain, method=solver, tol=tol
+        ).require_converged().distribution
         freq_locked = float(pi[F * M : (F + 1) * M].sum())
         phi = np.tile(grid.values, 2 * F + 1)
         phase_rms = float(np.sqrt(np.dot(pi, phi**2)))

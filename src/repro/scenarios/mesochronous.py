@@ -118,8 +118,9 @@ class MesochronousScenario:
         eps = float(params["settle_eps"])
         threshold = float(params["error_threshold_ui"])
 
-        result = stationary_distribution(model.chain, method=solver, tol=tol)
-        pi = result.distribution
+        pi = stationary_distribution(
+            model.chain, method=solver, tol=tol
+        ).require_converged().distribution
         abs_phi = np.abs(cdr_model.phase_values_per_state())
         stationary_abs_error = float(np.dot(pi, abs_phi))
         phase_pi = cdr_model.phase_marginal(pi)

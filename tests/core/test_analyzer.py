@@ -115,6 +115,16 @@ class TestAnalyzeCDR:
         assert a.solver_result.method == "multigrid"
         assert a.solver_result.converged
 
+    def test_unconverged_solve_raises_before_measures(self):
+        from repro.resilience import SolverFailure
+
+        with pytest.raises(SolverFailure, match="did not converge") as info:
+            analyze_cdr(small_spec(), solver="power", max_iter=2)
+        err = info.value
+        assert err.method == "power"
+        assert err.iteration == 2
+        assert err.residual > 1e-10
+
     def test_analyze_model_without_spec(self):
         model = small_spec().build_model()
         a = analyze_model(model, solver="direct")

@@ -51,6 +51,7 @@ from repro.markov.conformance import (
     nearly_uncoupled_fixture,
 )
 from repro.markov.linop import OperatorCapabilityError, as_operator
+from repro.markov.lumping import entries_csr
 from repro.markov.registry import get_backend
 from repro.markov.solvers.jacobi import jacobi_split
 from repro.noise import DiscreteDistribution, eye_opening_noise
@@ -287,6 +288,70 @@ class TestKrylovAMG:
 
         with pytest.raises(OperatorCapabilityError, match="triplets"):
             AMGPreconditioner(NoTriplets(chain.P), hierarchy)
+
+
+class TripletsOnly:
+    """All that matrix-free AMG reads: applies, diagonal and triplets."""
+
+    def __init__(self, op):
+        self._op = op
+
+    @property
+    def shape(self):
+        return self._op.shape
+
+    def matvec(self, v):
+        return self._op.matvec(v)
+
+    def rmatvec(self, x):
+        return self._op.rmatvec(x)
+
+    def diagonal(self):
+        return self._op.diagonal()
+
+    def triplets(self):
+        return self._op.triplets()
+
+
+class NoTriplets(TripletsOnly):
+    triplets = None
+
+
+@pytest.mark.amg
+class TestAutoPreconditioner:
+    @pytest.mark.parametrize("size", ["fast", "full"])
+    def test_triplets_only_operator_resolves_to_amg(self, size):
+        # fast (320 states) has no coarse level, so the preconditioner is
+        # the fine operator's augmented LU; full (896 states) coarsens
+        # algebraically.  Neither may touch to_csr(), which it lacks.
+        scenario = get_scenario("bangbang-freq")
+        op = build_bangbang_operator(scenario.params_for(size))
+        result = stationary_distribution(TripletsOnly(op), method="krylov", tol=1e-12)
+        assert result.method == "krylov-gmres+amg"
+        assert result.converged
+        reference = solve_direct(op.to_csr()).distribution
+        assert np.abs(result.distribution - reference).sum() < 1e-10
+
+    def test_operator_without_triplets_stays_unpreconditioned(self):
+        op = NoTriplets(CDRTransitionOperator(**cdr_params()))
+        result = stationary_distribution(op, method="krylov", tol=1e-10)
+        assert result.method == "krylov-gmres"
+
+    def test_assembled_operator_keeps_ilu(self):
+        result = stationary_distribution(
+            birth_death_fixture(64), method="krylov", tol=1e-10
+        )
+        assert result.method == "krylov-gmres+ilu"
+
+    def test_zero_level_coarsest_is_the_operator_matrix(self):
+        op = CDRTransitionOperator(**cdr_params())
+        hierarchy = build_hierarchy(op)
+        assert hierarchy.n_levels == 1
+        P = op.to_csr()
+        C = entries_csr(TripletsOnly(op))
+        assert np.array_equal(C.indptr, P.indptr)
+        assert np.array_equal(C.indices, P.indices)
+        assert np.array_equal(C.data, P.data)
 
 
 class TestIluCapability:
