@@ -69,6 +69,7 @@ from repro.markov.passage import (
     stationary_event_rate,
 )
 from repro.markov.solvers import (
+    DirectPlan,
     StationaryResult,
     solve_direct,
     solve_eigen,
@@ -179,6 +180,7 @@ __all__ = [
     "VCycleLevelEvent",
     "load_trace",
     "StationaryResult",
+    "DirectPlan",
     "solve_direct",
     "solve_power",
     "solve_jacobi",

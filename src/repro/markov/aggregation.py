@@ -26,8 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.markov.solvers.jacobi import jacobi_sweeps
-from repro.markov.lumping import Partition, lumped_tpm
-from repro.markov.solvers.direct import solve_direct
+from repro.markov.lumping import GalerkinPlan, Partition, aggregate_distribution
+from repro.markov.solvers.direct import DirectPlan
 from repro.markov.solvers.result import (
     StationaryResult,
     prepare_initial_guess,
@@ -86,13 +86,18 @@ def solve_aggregation_disaggregation(
     history = []
     converged = False
     it = 0
+    # The partition fixes the coarse pattern: plan the Galerkin build and
+    # the coarse factorization once, repeat only their numeric halves.
+    galerkin = GalerkinPlan(P, partition)
+    direct = None
     for it in range(1, max_iter + 1):
         if pre_sweeps:
             x = jacobi_sweeps(P, x, pre_sweeps)
         w = np.maximum(x, _WEIGHT_FLOOR)
-        C = lumped_tpm(P, partition, weights=w)
-        coarse = solve_direct(C)
-        x = disaggregate(w, coarse.distribution, partition)
+        C = galerkin.coarse(P, w)
+        if direct is None:
+            direct = DirectPlan(C, weights=aggregate_distribution(w, partition))
+        x = disaggregate(w, direct.solve(C), partition)
         if post_sweeps:
             x = jacobi_sweeps(P, x, post_sweeps)
         res = float(np.abs(PT.dot(x) - x).sum())

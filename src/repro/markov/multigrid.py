@@ -27,6 +27,15 @@ per coarse build, and each coarse level's Jacobi split is a permutation
 of the new values (``GalerkinPlan.split``), released when that level's
 correction returns.  Only the fine split lives for the whole solve.
 
+Step 3's direct solve splits the same way.  The coarsest level's
+:class:`~repro.markov.solvers.direct.DirectPlan` (normalization state,
+elimination order, permuted pattern) is built on the first coarsest
+visit, weighted by the coarse iterate, and each cycle runs only one
+fixed-order factorization without pivoting.  The plan is rebuilt only
+when the coarsest pattern changes; the index arrays a Galerkin plan
+shares pass that check by identity.  Its build counts as coarsest-solve
+time in the stage profile.
+
 V-cycles repeat until the fine-level residual ``||x P - x||_1`` drops below
 tolerance.  The coarsening strategy is pluggable: the CDR model supplies
 the paper's phase-pairing strategy via state labels; a generic
@@ -64,7 +73,7 @@ from repro.markov.linop import (
 from repro.markov.lumping import GalerkinPlan, Partition, entries_csr
 from repro.markov.monitor import NULL_MONITOR, SolverMonitor, instrument
 from repro.markov.registry import register_solver
-from repro.markov.solvers.direct import solve_direct
+from repro.markov.solvers.direct import DirectPlan
 from repro.markov.solvers.jacobi import jacobi_split, jacobi_sweeps
 from repro.markov.solvers.power import solve_power
 from repro.markov.solvers.result import StationaryResult, prepare_initial_guess
@@ -363,9 +372,11 @@ class MultigridSolver:
         self.options = options or MultigridOptions()
         self._levels_used = 0
         # Per-solve level stores: the Galerkin plan coarsening each level
-        # (pattern fixed for the solve) and each level's Jacobi split.
+        # (pattern fixed for the solve), each level's Jacobi split, and the
+        # direct plan factoring the coarsest level.
         self._plans: list = []
         self._splits: dict = {}
+        self._direct: Optional[DirectPlan] = None
 
     @property
     def levels_used(self) -> int:
@@ -415,6 +426,7 @@ class MultigridSolver:
         finally:
             self._plans = []
             self._splits = {}
+            self._direct = None
         elapsed = time.perf_counter() - start
         residual = recorder.last_residual()
         if residual is None:
@@ -464,14 +476,20 @@ class MultigridSolver:
         return plan
 
     def _coarsest_solve(self, P, x: np.ndarray) -> np.ndarray:
-        if sp.issparse(P):
-            return solve_direct(P).distribution
         if isinstance(P, InstrumentedOperator) and isinstance(
             P.inner, AssembledOperator
         ):
             # Profiling must not change the numerical path: an instrumented
             # assembled fine level still gets the direct coarsest solve.
-            return solve_direct(P.inner.P).distribution
+            P = P.inner.P
+        if sp.issparse(P):
+            # One symbolic factorization per solve, weighted by the first
+            # coarse iterate; rebuilt only if the coarsest pattern moves
+            # (the index arrays a Galerkin plan shares pass by identity).
+            plan = self._direct
+            if plan is None or not plan.matches(P):
+                plan = self._direct = DirectPlan(P, weights=x)
+            return plan.solve(P)
         # An unassembled operator small enough to be its own coarsest
         # level: keep the no-materialization guarantee and solve it with
         # matrix-free power iteration seeded from the current iterate.

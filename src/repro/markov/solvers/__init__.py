@@ -9,7 +9,7 @@ multigrid solver of :mod:`repro.markov.multigrid`.
 """
 
 from repro.markov.solvers.result import StationaryResult
-from repro.markov.solvers.direct import solve_direct
+from repro.markov.solvers.direct import DirectPlan, solve_direct
 from repro.markov.solvers.power import solve_power
 from repro.markov.solvers.jacobi import solve_jacobi
 from repro.markov.solvers.gauss_seidel import solve_gauss_seidel
@@ -19,6 +19,7 @@ from repro.markov.solvers.eigen import solve_eigen, subdominant_eigenvalue
 
 __all__ = [
     "StationaryResult",
+    "DirectPlan",
     "solve_direct",
     "solve_power",
     "solve_jacobi",
