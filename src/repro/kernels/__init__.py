@@ -10,7 +10,7 @@ one of two interchangeable *kernel tiers*:
     Pure NumPy (always available): vectorized contiguous-slice segment
     loops and sorted ``bincount`` scatters.  The reference tier.
 ``cext``
-    A ~60-line C kernel compiled on first use with whatever C compiler
+    A ~150-line C kernel compiled on first use with whatever C compiler
     is on ``PATH`` and loaded via ctypes (no build step, no wheel).
     Available on any machine with ``cc``/``gcc``/``clang``.
 
@@ -28,6 +28,14 @@ multiply/add sequence, with FMA contraction explicitly disabled in the
 compiled tier.  The equivalence battery in ``tests/kernels`` and the CI
 ``kernels`` job enforce this invariant across tiers, blocked vs looped
 applies, and all registered scenarios.
+
+Besides the two apply primitives (``roll_apply``, ``csr_apply``) every
+tier provides ``csr_survival``: the whole step loop of
+:func:`~repro.scenarios.measures.first_passage_survival` over a
+:class:`CSRArrays` table of ``P^T``, in one call instead of one
+``rmatvec`` per step.  Its per-step sum follows NumPy's pairwise
+summation order (the compiled tier carries a port of it), so the tiers
+agree bit for bit there too.
 
 This module also hosts the zero-copy apply-argument helpers
 (:func:`as_apply_vector`, :func:`as_apply_block`): float64 contiguous

@@ -1,6 +1,6 @@
 """The compiled-C kernel tier (ctypes, built on first use).
 
-A ~60-line C translation of the NumPy tier's two primitives, compiled
+A ~150-line C translation of the NumPy tier's three primitives, compiled
 once per machine with whatever C compiler is on ``PATH`` and loaded via
 :mod:`ctypes`.  No build-time dependency, no wheel: the shared object is
 cached under ``$REPRO_KERNELS_CACHE`` (default ``~/.cache/repro-kernels``)
@@ -13,7 +13,9 @@ build passes ``-ffp-contract=off`` so the compiler cannot fuse the
 multiply-add pairs into FMAs -- fusion changes the rounding and would
 break the cross-tier bit-identity invariant.  No ``-ffast-math``, no
 ``-march=native`` (reassociation and machine-specific contraction are
-exactly the transformations we must forbid).
+exactly the transformations we must forbid).  The survival kernel also
+sums a vector once per step; it does so with a port of NumPy's own
+pairwise summation, so that sum is bitwise ``ndarray.sum()`` too.
 
 When no compiler is available or the probe compile fails, the tier
 simply reports itself unavailable and selection falls through to NumPy.
@@ -99,6 +101,98 @@ void repro_csr_apply(const double *x, double *out, const double *vals,
         }
     }
 }
+
+/* NumPy's float64 pairwise summation, ported so the survival kernel's
+   per-step P(T > k) is bitwise what ndarray.sum() returns for the same
+   vector (numpy/_core/src/umath/loops_utils.h.src, pairwise_sum_DOUBLE):
+   below 8 elements a plain running sum; up to 128 elements eight
+   interleaved partial sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+   then the remainder added in order; above 128 a split at n/2 rounded
+   down to a multiple of 8.  The reduction adds this to its identity 0.0,
+   which turns an all -0.0 sum into +0.0 just as NumPy does.  A change to
+   NumPy's summation order would break the bit-identity between tiers;
+   tests/kernels/test_survival.py compares this port with ndarray.sum(). */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; ++j)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; ++j)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+double repro_sum(const double *a, int64_t n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+/* The whole survival iteration of first_passage_survival (see
+   repro/scenarios/measures.py and the NumPy tier's csr_survival): zero
+   the target rows of x, then repeatedly apply the scatter table of P^T
+   (the CSR row sum of repro_csr_apply), zeroing target rows as they are
+   written, until P(T > k) <= survival_tol or max_steps steps.  The two
+   buffers x and y swap roles each step.  stats holds (survival, prev,
+   mean) on return; *quantile_at the first step with
+   survival <= threshold, or -1.  Returns the number of steps run. */
+int64_t repro_csr_survival(const double *vals, const int64_t *cols,
+                           const int64_t *indptr, int64_t nrows,
+                           const uint8_t *mask, double *x, double *y,
+                           double survival_tol, int64_t max_steps,
+                           double threshold, double *stats,
+                           int64_t *quantile_at)
+{
+    for (int64_t i = 0; i < nrows; ++i)
+        if (mask[i])
+            x[i] = 0.0;
+    double survival = repro_sum(x, nrows);
+    double mean = survival, prev = survival;
+    int64_t q = survival <= threshold ? 0 : -1;
+    int64_t steps = 0;
+    while (survival > survival_tol && steps < max_steps) {
+        for (int64_t i = 0; i < nrows; ++i) {
+            if (mask[i]) {
+                y[i] = 0.0;
+                continue;
+            }
+            double acc = 0.0;
+            for (int64_t jj = indptr[i]; jj < indptr[i + 1]; ++jj)
+                acc += vals[jj] * x[cols[jj]];
+            y[i] = acc;
+        }
+        double *t = x;
+        x = y;
+        y = t;
+        prev = survival;
+        survival = repro_sum(x, nrows);
+        ++steps;
+        mean += survival;
+        if (q < 0 && survival <= threshold)
+            q = steps;
+    }
+    stats[0] = survival;
+    stats[1] = prev;
+    stats[2] = mean;
+    *quantile_at = q;
+    return steps;
+}
 """
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
@@ -168,6 +262,13 @@ def _build() -> ctypes.CDLL:
     lib.repro_roll_apply.argtypes = [ptr] * 11 + [i64] * 3
     lib.repro_csr_apply.restype = None
     lib.repro_csr_apply.argtypes = [ptr] * 5 + [i64] * 2
+    lib.repro_sum.restype = ctypes.c_double
+    lib.repro_sum.argtypes = [ptr, i64]
+    lib.repro_csr_survival.restype = i64
+    lib.repro_csr_survival.argtypes = (
+        [ptr] * 3 + [i64] + [ptr] * 3 + [ctypes.c_double, i64, ctypes.c_double]
+        + [ptr] * 2
+    )
     return lib
 
 
@@ -220,3 +321,26 @@ def csr_apply(cs, x: np.ndarray, out: np.ndarray) -> None:
         bound = cs.c_args = _bind_csr(cs)
     nvec = 1 if x.ndim == 1 else x.shape[1]
     _lib.repro_csr_apply(x.ctypes.data, out.ctypes.data, *bound, nvec)
+
+
+def csr_survival(cs, x: np.ndarray, mask: np.ndarray, survival_tol: float,
+                 max_steps: int, threshold: float) -> tuple:
+    """The NumPy tier's :func:`~repro.kernels.numpy_tier.csr_survival`
+    in one C call; ``x`` and a second buffer are overwritten."""
+    vals, cols, indptr, n = _bind_csr(cs)
+    y = np.empty_like(x)
+    stats = np.empty(3)
+    quantile_at = np.empty(1, dtype=np.int64)
+    steps = _lib.repro_csr_survival(
+        vals, cols, indptr, n, mask.ctypes.data, x.ctypes.data,
+        y.ctypes.data, survival_tol, max_steps, threshold,
+        stats.ctypes.data, quantile_at.ctypes.data,
+    )
+    survival, prev, mean = stats.tolist()
+    return int(steps), survival, prev, mean, int(quantile_at[0])
+
+
+def pairwise_sum(a: np.ndarray) -> float:
+    """The C port of NumPy's float64 pairwise sum (``a`` contiguous)."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return _lib.repro_sum(a.ctypes.data, a.size)

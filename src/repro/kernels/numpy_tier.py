@@ -1,7 +1,7 @@
 """The always-available pure-NumPy kernel tier.
 
-Reference implementation of the two kernel primitives over the plans of
-:mod:`repro.kernels.plan`.  Every other tier must be bit-identical to
+Reference implementation of the three kernel primitives over the plans
+of :mod:`repro.kernels.plan`.  Every other tier must be bit-identical to
 this one (and all tiers bit-identical to applying the assembled CSR
 matrix) -- the equivalence battery in ``tests/kernels`` enforces it.
 
@@ -11,14 +11,16 @@ is three vectorized slice operations on contiguous ranges -- no
 The branch kernel uses ``np.bincount`` over pre-sorted entries, whose C
 loop accumulates sequentially in element order -- the same order (and
 therefore the same floating-point result) as a CSR row sum -- instead of
-the far slower ``np.add.at``.
+the far slower ``np.add.at``.  The survival kernel is the step loop of
+:func:`~repro.scenarios.measures.first_passage_survival` over the branch
+kernel; the compiled tier runs the same loop without returning to Python.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["roll_apply", "csr_apply"]
+__all__ = ["roll_apply", "csr_apply", "csr_survival"]
 
 name = "numpy"
 
@@ -61,3 +63,34 @@ def csr_apply(cs, x: np.ndarray, out: np.ndarray) -> None:
             out[:, j] = np.bincount(
                 cs.rows, weights=cs.vals * x[cs.cols, j], minlength=cs.n_rows
             )
+
+
+def csr_survival(cs, x: np.ndarray, mask: np.ndarray, survival_tol: float,
+                 max_steps: int, threshold: float) -> tuple:
+    """Survival iteration of the target-absorbed chain over ``cs`` (``P^T``).
+
+    Zeroes the target rows (``mask``) of the start distribution ``x`` (in
+    place), then applies ``cs`` and zeroes the target rows again until
+    the remaining mass ``P(T > k)`` is at most ``survival_tol`` or
+    ``max_steps`` steps have run.  Returns ``(steps, survival, prev,
+    mean, quantile_at)``: the last two survivals, their running sum over
+    ``k = 0..steps``, and the first step with ``survival <= threshold``
+    (``-1`` if none).
+    """
+    targets = np.flatnonzero(mask)
+    x[targets] = 0.0
+    survival = float(x.sum())
+    mean = prev = survival
+    quantile_at = 0 if survival <= threshold else -1
+    out = np.empty_like(x)
+    steps = 0
+    while survival > survival_tol and steps < max_steps:
+        csr_apply(cs, x, out)
+        out[targets] = 0.0
+        x, out = out, x
+        prev, survival = survival, float(x.sum())
+        steps += 1
+        mean += survival
+        if quantile_at < 0 and survival <= threshold:
+            quantile_at = steps
+    return steps, survival, prev, mean, quantile_at

@@ -306,7 +306,8 @@ def _read_triplets(op, block: np.ndarray):
     if triplets is None:
         raise OperatorCapabilityError(
             f"{type(op).__name__} has no triplets(); Galerkin coarsening "
-            "(multigrid, AMG) needs the operator's entries"
+            "(multigrid, AMG) and survival iteration need the operator's "
+            "entries"
         )
     rows, brow, bcol, vals = [], [], [], []
     for r, c, v in triplets():

@@ -114,6 +114,15 @@ class InstrumentedOperator:
     def shape(self) -> Tuple[int, int]:
         return self.inner.shape
 
+    def record(self, kind: str, seconds: float, nbytes: int, calls: int = 1) -> None:
+        """Record ``calls`` applications made without this wrapper.
+
+        A kernel that runs a whole loop of applies in one call (the
+        survival kernel behind ``first_passage_survival``) reports them
+        here, so the counts match those of the per-call loop it replaced.
+        """
+        self._session.record(self.role, kind, seconds, nbytes, calls=calls)
+
     def _timed(self, kind: str, fn, *args):
         t0 = time.perf_counter()
         out = fn(*args)
@@ -121,7 +130,7 @@ class InstrumentedOperator:
         moved = _nbytes(out)
         for a in args:
             moved += _nbytes(a)
-        self._session.record(self.role, kind, seconds, moved)
+        self.record(kind, seconds, moved)
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -283,13 +292,18 @@ class ProfileSession:
         info["instances"] += 1
 
     def record(
-        self, role: str, kind: str, seconds: float, nbytes: int
+        self, role: str, kind: str, seconds: float, nbytes: int, calls: int = 1
     ) -> None:
+        """Add ``calls`` calls taking ``seconds`` and moving ``nbytes`` in all.
+
+        The Prometheus histogram observes one entry per record, whatever
+        ``calls`` is: a bulk record is one timed kernel call.
+        """
         per_role = self.operators.setdefault(role, {})
         cell = per_role.get(kind)
         if cell is None:
             cell = per_role[kind] = [0, 0.0, 0]
-        cell[0] += 1
+        cell[0] += calls
         cell[1] += seconds
         cell[2] += nbytes
         if self._hist is not None:

@@ -1,29 +1,37 @@
 """Backend-agnostic measure kernels for scenario evaluation.
 
 The scenario battery's whole point is that every measure is computed the
-same way on every TPM backend, so these helpers speak only the
-:class:`~repro.markov.linop.TransitionOperator` protocol (``rmatvec`` for
-distribution propagation) -- never the explicit matrix.  First-passage
-moments, which :mod:`repro.markov.passage` solves with sparse LU on the
-assembled matrix, are recomputed here by *survival iteration*: absorb the
-target set, propagate the start distribution, and accumulate the
-survival series
+same way on every TPM backend.  Distribution propagation therefore goes
+through the :class:`~repro.markov.linop.TransitionOperator` protocol:
+``rmatvec`` for the settling and trajectory measures, and the chain's
+entries, read once through ``triplets()``
+(:func:`~repro.markov.lumping.entries_csr`, never ``to_csr()``), for the
+first-passage kernel.  First-passage moments, which
+:mod:`repro.markov.passage` solves with sparse LU on the assembled
+matrix, are recomputed here by *survival iteration*: absorb the target
+set, propagate the start distribution, and accumulate the survival
+series
 
     E[T] = sum_{k>=0} P(T > k),
 
 with a geometric tail estimate closing the truncated remainder.  On an
 assembled chain both routes agree (a test invariant); on a matrix-free
-chain only this one exists.
+chain only this one exists.  The iteration runs as one kernel call
+(``csr_survival`` of :mod:`repro.kernels`) over the transposed entries,
+bit-identical to applying the operator's own ``rmatvec`` step by step.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.markov.linop import TransitionOperator, as_operator
-from repro.obs.profile import instrument_operator
+from repro.kernels import CSRArrays, get_kernel
+from repro.markov.linop import TransitionOperator, as_operator, unwrap_operator
+from repro.markov.lumping import entries_csr
+from repro.obs.profile import InstrumentedOperator, instrument_operator
 
 __all__ = [
     "FirstPassageSummary",
@@ -49,6 +57,21 @@ class FirstPassageSummary:
     steps_run: int
 
 
+def _scatter_table(op) -> CSRArrays:
+    """``P^T`` as a kernel scatter table, read once through ``triplets()``.
+
+    Rows are destination states, entries in ascending source order: the
+    accumulation order of every backend's ``rmatvec``, so the kernel's
+    gather reproduces it bit for bit (a Kronecker operator, whose
+    ``rmatvec`` is a factored apply, only to rounding).  An operator
+    without ``triplets()`` raises
+    :class:`~repro.markov.linop.OperatorCapabilityError`.
+    """
+    P = entries_csr(unwrap_operator(op))
+    rows = np.repeat(np.arange(P.shape[0], dtype=np.int64), np.diff(P.indptr))
+    return CSRArrays(P.indices.astype(np.int64), rows, P.data, P.shape[0])
+
+
 def first_passage_survival(
     op,
     start: np.ndarray,
@@ -65,36 +88,37 @@ def first_passage_survival(
     ``survival_tol`` (the geometric tail then closes the mean) or after
     ``max_steps`` (the mean is then a lower bound; ``p_unabsorbed`` says
     by how much).
+
+    The steps run in one ``csr_survival`` kernel call over the chain's
+    transposed entries; a profile session counts them as ``rmatvec``
+    calls under ``measure.first_passage``, as if applied one by one.
     """
     operator: TransitionOperator = instrument_operator(
         as_operator(op), role="measure.first_passage"
     )
     n = operator.shape[0]
-    mask = np.asarray(target_mask, dtype=bool)
+    mask = np.ascontiguousarray(target_mask, dtype=bool)
     if mask.shape != (n,):
         raise ValueError("target mask has wrong size")
     if not mask.any():
         raise ValueError("target set must be non-empty")
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must be in (0, 1)")
-    x = np.asarray(start, dtype=float).copy()
+    x = np.array(start, dtype=float)
     if x.shape != (n,):
         raise ValueError("start distribution has wrong size")
 
-    x[mask] = 0.0
-    survival = float(x.sum())     # P(T > 0)
-    mean = survival               # accumulates sum_k P(T > k)
-    quantile_at = 0 if survival <= 1.0 - quantile else None
-    prev = survival
-    steps = 0
-    while survival > survival_tol and steps < max_steps:
-        x = operator.rmatvec(x)
-        x[mask] = 0.0
-        prev, survival = survival, float(x.sum())
-        steps += 1
-        mean += survival
-        if quantile_at is None and survival <= 1.0 - quantile:
-            quantile_at = steps
+    table = _scatter_table(operator)
+    t0 = time.perf_counter()
+    steps, survival, prev, mean, quantile_at = get_kernel().csr_survival(
+        table, x, mask, survival_tol, max_steps, 1.0 - quantile
+    )
+    if steps and isinstance(operator, InstrumentedOperator):
+        # Each step read one vector and wrote one, as an rmatvec does.
+        operator.record(
+            "rmatvec", time.perf_counter() - t0, steps * 2 * x.nbytes,
+            calls=steps,
+        )
     if survival > 0.0 and prev > survival:
         # Below the stopping tolerance the series is in its asymptotic
         # geometric regime; sum the remaining tail analytically.
@@ -103,7 +127,7 @@ def first_passage_survival(
             mean += survival * ratio / (1.0 - ratio)
     return FirstPassageSummary(
         mean_symbols=float(mean),
-        quantile_symbols=float(quantile_at if quantile_at is not None else np.inf),
+        quantile_symbols=float(quantile_at if quantile_at >= 0 else np.inf),
         quantile=quantile,
         p_unabsorbed=survival,
         steps_run=steps,
@@ -127,7 +151,9 @@ def tv_settling_time(
     )
     x = np.asarray(start, dtype=float).copy()
     pi = np.asarray(stationary, dtype=float)
-    for k in range(max_steps + 1):
+    # The check after the last apply could only return max_steps, which
+    # the horizon returns anyway: max_steps applies, not one more.
+    for k in range(max_steps):
         if 0.5 * float(np.abs(x - pi).sum()) < epsilon:
             return k
         x = operator.rmatvec(x)
