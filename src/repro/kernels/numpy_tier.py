@@ -82,12 +82,16 @@ def csr_survival(cs, x: np.ndarray, mask: np.ndarray, survival_tol: float,
     survival = float(x.sum())
     mean = prev = survival
     quantile_at = 0 if survival <= threshold else -1
-    out = np.empty_like(x)
+    # One gather buffer for the whole iteration; the bin sums are the
+    # next iterate, so a step allocates only them.  ``mode="clip"``
+    # (the indices are in range) keeps ``take`` from buffering ``out``.
+    gathered = np.empty(cs.vals.shape)
     steps = 0
     while survival > survival_tol and steps < max_steps:
-        csr_apply(cs, x, out)
-        out[targets] = 0.0
-        x, out = out, x
+        np.take(x, cs.cols, out=gathered, mode="clip")
+        gathered *= cs.vals
+        x = np.bincount(cs.rows, weights=gathered, minlength=cs.n_rows)
+        x[targets] = 0.0
         prev, survival = survival, float(x.sum())
         steps += 1
         mean += survival

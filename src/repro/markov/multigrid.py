@@ -36,6 +36,28 @@ when the coarsest pattern changes; the index arrays a Galerkin plan
 shares pass that check by identity.  Its build counts as coarsest-solve
 time in the stage profile.
 
+Between cycles, at the top level only:
+
+6. recombine: the last :data:`RECOMBINE_WINDOW` iterates ``x_j`` and
+   their residuals ``r_j = x_j P - x_j`` are kept, and the combination
+   ``z = sum_j a_j x_j`` with ``sum_j a_j = 1`` that minimizes the
+   chi-squared residual ``sum_i r_i(z)^2 / x_i`` is formed (``r`` is
+   linear in ``x``, so ``r(z) = sum_j a_j r_j``; ``x`` is the cycle's own
+   iterate).  ``z`` replaces the cycle's output only if it is nonnegative
+   and its true residual ``||z P - z||_1`` is lower.  This is De Sterck
+   et al.'s top-level iterant recombination ("Top-level acceleration of
+   adaptive algebraic multilevel methods for steady-state solution to
+   Markov chains", 2011).  The weights matter: a plain 2-norm fit is set
+   by the bulk states and moves the far tail, and with it the BER, by
+   ~1e-5 relative; dividing by ``x`` measures each state's residual
+   relative to its own probability, so the tail counts as much as the
+   bulk.  States far below the residual can still move by large factors:
+   a measure far below ``tol`` (the stiff design's 1e-241 BER) keeps no
+   digits, as with every residual-stopped solver.  The window starts
+   empty in every solve (warm starts and checkpoint resumes included),
+   and the residual reported, and tested against ``tol``, is always the
+   true residual of the returned vector.
+
 V-cycles repeat until the fine-level residual ``||x P - x||_1`` drops below
 tolerance.  The coarsening strategy is pluggable: the CDR model supplies
 the paper's phase-pairing strategy via state labels; a generic
@@ -57,6 +79,7 @@ structural strategy (the CDR model's phase pairing) avoids that copy.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -93,6 +116,9 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-300
+
+#: Top-level iterates (with their residual vectors) a solve recombines.
+RECOMBINE_WINDOW = 5
 
 # A coarsening strategy maps (level, current TPM) -> Partition or None
 # (None meaning "stop coarsening here").
@@ -288,6 +314,82 @@ def _auto_factory(op) -> CoarseningStrategy:
     return _algebraic_factory(op)
 
 
+class _Recombiner:
+    """Top-level iterant recombination over one solve (module step 6).
+
+    Holds the last :data:`RECOMBINE_WINDOW` ``(x, r)`` pairs by reference
+    (no copies, no stacking) and one scratch vector.  The constrained
+    least-squares problem is solved on the k-by-k chi-squared Gram matrix
+    of the residuals, equilibrated by its diagonal.
+    """
+
+    def __init__(self, op) -> None:
+        self._op = op
+        self._window: deque = deque(maxlen=RECOMBINE_WINDOW)
+        self._scratch = np.empty(op.shape[0])
+        self.accepted = 0
+
+    def _residual(self, x: np.ndarray):
+        """``(r, ||r||_1)`` with ``r = x P - x``, as ``operator_residual``."""
+        r = self._op.rmatvec(x) - x
+        return r, float(np.abs(r).sum())
+
+    def step(self, x: np.ndarray, tol: float):
+        """The next top-level iterate and its true residual.
+
+        That is the recombination when it is admissible and better, else
+        the cycle's output ``x`` (always when ``x`` already meets ``tol``).
+        """
+        r, res = self._residual(x)
+        if res < tol:
+            return x, res
+        window = self._window
+        window.append((x, r))
+        z = self._combine(x) if len(window) > 1 else None
+        if z is None:
+            return x, res
+        rz, res_z = self._residual(z)
+        if not res_z < res:
+            return x, res
+        window[-1] = (z, rz)
+        self.accepted += 1
+        return z, res_z
+
+    def _combine(self, x: np.ndarray) -> Optional[np.ndarray]:
+        window = self._window
+        k = len(window)
+        t = self._scratch
+        inv_x = np.maximum(x, _WEIGHT_FLOOR)
+        np.divide(1.0, inv_x, out=inv_x)
+        gram = np.empty((k, k))
+        for i, (_, ri) in enumerate(window):
+            np.multiply(ri, inv_x, out=t)
+            for j in range(i + 1):
+                gram[i, j] = gram[j, i] = np.dot(t, window[j][1])
+        diag = np.diag(gram)
+        if not (np.all(np.isfinite(gram)) and np.all(diag > 0.0)):
+            return None
+        # min a^T G a s.t. sum(a) = 1, on the diagonally scaled KKT system.
+        d = 1.0 / np.sqrt(diag)
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = gram * np.outer(d, d)
+        kkt[:k, k] = kkt[k, :k] = d
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        coef = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k] * d
+        if not np.all(np.isfinite(coef)):
+            return None
+        z = coef[0] * window[0][0]
+        for a, (xj, _) in zip(coef[1:], list(window)[1:]):
+            np.multiply(xj, a, out=t)
+            z += t
+        total = z.sum()
+        if z.min() < 0.0 or not total > 0.0:
+            return None
+        z /= total
+        return z
+
+
 @dataclass
 class MultigridOptions:
     """Tuning knobs for :class:`MultigridSolver`.
@@ -413,12 +515,13 @@ class MultigridSolver:
         recorder, mon = instrument(method, n, opt.tol, monitor)
         start = time.perf_counter()
         converged = False
+        recombiner = _Recombiner(op)
         try:
             for cycle in range(1, opt.max_cycles + 1):
                 x = self._vcycle(fine, x, level=0, cycle=cycle, mon=mon)
+                x, res = recombiner.step(x, opt.tol)
                 if on_iterate is not None:
                     on_iterate(cycle, x)
-                res = operator_residual(op, x)
                 mon.iteration_finished(cycle, res, time.perf_counter() - start)
                 if res < opt.tol:
                     converged = True
@@ -440,6 +543,7 @@ class MultigridSolver:
             method=method,
             residual_history=recorder.residual_history,
             solve_time=elapsed,
+            recombinations=recombiner.accepted,
         )
 
     # ------------------------------------------------------------------ #

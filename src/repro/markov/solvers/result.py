@@ -159,6 +159,9 @@ class StationaryResult:
         Whether the solve started from a reused stationary vector rather
         than the uniform guess (set by the solve-context layer; solvers
         themselves leave it False).
+    recombinations:
+        Top-level iterate recombinations the solve accepted (multigrid
+        only; 0 for every other solver).
     """
 
     distribution: np.ndarray
@@ -169,6 +172,7 @@ class StationaryResult:
     residual_history: List[float] = field(default_factory=list)
     solve_time: float = 0.0
     warm_started: bool = False
+    recombinations: int = 0
 
     def __post_init__(self) -> None:
         self.distribution = np.asarray(self.distribution, dtype=float)

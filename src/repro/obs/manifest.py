@@ -202,6 +202,11 @@ def build_run_manifest(
             "solver_iterations": analysis.solver_result.iterations,
             "solver_residual": analysis.solver_result.residual,
             "solver_converged": analysis.solver_result.converged,
+            # Geometric-mean residual reduction per iteration (per V-cycle
+            # for multigrid) and the top-level recombinations accepted.
+            "solver_convergence_rate":
+                analysis.solver_result.convergence_rate(),
+            "solver_recombinations": analysis.solver_result.recombinations,
         }
         digests["stationary_sha256"] = digest_array(analysis.stationary)
         if solver_trace is None and analysis.solver_recording is not None:
@@ -422,6 +427,14 @@ def format_run_manifest(manifest: Dict[str, Any]) -> str:
                 f"{row['seconds']:9.4f} s  {row['calls']:>8} calls"
                 + (f"  {mb:10.1f} MB" if mb else "")
             )
+    if str(results.get("solver_method", "")).startswith("multigrid"):
+        rate = results.get("solver_convergence_rate")
+        lines.append(
+            f"multigrid: {results.get('solver_iterations')} cycles, "
+            + (f"contraction {rate:.3g}/cycle, " if rate is not None else "")
+            + f"{results.get('solver_recombinations', 0)} recombinations "
+            "accepted"
+        )
     snapshot = (manifest.get("metrics") or {}).get("snapshot") or {}
     if snapshot:
         lines.append(f"metrics ({len(snapshot)}):")

@@ -25,7 +25,7 @@ GOLDEN_BIRTH_DEATH = {
     "jacobi": (2653, 0.35),
     "gauss-seidel": (950, 0.35),
     "sor": (638, 0.35),
-    "multigrid": (83, 0.50),
+    "multigrid": (24, 0.50),
 }
 
 # Same contract on the nearly-uncoupled fixture (block_size=6, eps=0.02,

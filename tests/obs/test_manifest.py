@@ -142,6 +142,34 @@ class TestWriteLoadFormat:
         assert "metrics (" in text
         assert "stationary_sha256=" in text
 
+    def test_multigrid_contraction_and_recombinations(self):
+        spec = CDRSpec(
+            n_phase_points=128, n_clock_phases=16, counter_length=8,
+            max_run_length=2, nw_std=0.05, nw_atoms=9,
+        )
+        with obs.profiled(metrics=False):
+            analysis = analyze_cdr(spec, solver="multigrid", tol=1e-10)
+            m = build_run_manifest(analysis=analysis)
+        result = analysis.solver_result
+        assert m["results"]["solver_convergence_rate"] == result.convergence_rate()
+        assert m["results"]["solver_recombinations"] == result.recombinations > 0
+        json.dumps(m)
+        text = format_run_manifest(m)
+        hot = text.index("hot path (operator attribution):")
+        line = (
+            f"multigrid: {result.iterations} cycles, contraction "
+            f"{result.convergence_rate():.3g}/cycle, "
+            f"{result.recombinations} recombinations accepted"
+        )
+        assert text.index(line) > hot
+
+    def test_direct_solve_has_no_multigrid_line(self, traced_run):
+        tracer, analysis = traced_run
+        m = build_run_manifest(analysis=analysis, tracer=tracer)
+        assert m["results"]["solver_recombinations"] == 0
+        assert m["results"]["solver_convergence_rate"] is None
+        assert "recombinations accepted" not in format_run_manifest(m)
+
     def test_public_api_reexported(self):
         for name in ("Tracer", "span", "use_tracer", "get_registry",
                      "build_run_manifest", "RUN_TRACE_SCHEMA"):
