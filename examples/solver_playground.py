@@ -5,7 +5,7 @@ Builds a moderately stiff CDR Markov chain and runs every stationary
 solver in the library on it -- power iteration, weighted Jacobi,
 Gauss-Seidel, preconditioned GMRES, sparse LU, two-level
 aggregation/disaggregation, and the paper's multi-level (multigrid)
-aggregation with phase-pairing coarsening -- printing iterations,
+aggregation with grid-pairing coarsening -- printing iterations,
 residuals, and wall-clock times side by side.
 
 Run:  python examples/solver_playground.py
@@ -14,9 +14,9 @@ Run:  python examples/solver_playground.py
 import numpy as np
 
 from repro import CDRSpec
+from repro.cdr.model import grid_pairing_partitions
 from repro.core import format_table
 from repro.markov import (
-    Partition,
     solve_aggregation_disaggregation,
     solve_direct,
     solve_gauss_seidel,
@@ -39,6 +39,7 @@ def main() -> None:
     )
     model = spec.build_model()
     P = model.chain.P
+    shape = (model.n_data_states, model.n_counter_states, model.n_phase_points)
     print(f"{model!r}\n")
 
     tol = 1e-10
@@ -49,7 +50,7 @@ def main() -> None:
         solve_gauss_seidel(P, tol=tol, max_iter=20_000),
         solve_krylov(P, tol=tol),
         solve_aggregation_disaggregation(
-            P, model.phase_pairing_partitions()[0], tol=tol, max_iter=2_000
+            P, grid_pairing_partitions(shape)[0], tol=tol, max_iter=2_000
         ),
         solve_multigrid(
             P, strategy=model.multigrid_strategy(), tol=tol,

@@ -28,12 +28,10 @@ grid/noise metadata) but whose ``chain`` is a
 from __future__ import annotations
 
 import time
-from typing import List
 
 import numpy as np
 
 from repro.cdr.operator import CDRTransitionOperator
-from repro.markov.lumping import Partition
 from repro.markov.multigrid import CoarseningStrategy
 from repro.markov.registry import register_backend
 from repro.obs import span
@@ -110,11 +108,6 @@ class OperatorCDRModel:
     # ------------------------------------------------------------------ #
     # multigrid support
     # ------------------------------------------------------------------ #
-
-    def phase_pairing_partitions(
-        self, coarsest_phase_points: int = 8
-    ) -> List[Partition]:
-        return self.operator.phase_pairing_partitions(coarsest_phase_points)
 
     def multigrid_strategy(
         self, coarsest_phase_points: int = 8

@@ -17,13 +17,17 @@ transition that wraps the phase error across the ``+-1/2`` UI boundary --
 the cycle-slip events whose mean spacing the paper computes "between
 certain sets of MC states".  It comes from the operator's term list
 through the same wrap rule as the matrix-free ``slip_row_sums``.
+
+The multigrid hierarchy of the product grid is built in one place too,
+:func:`grid_pairing_partitions`, which every CDR model's
+``multigrid_strategy()`` calls with its own grid shape.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,32 +42,49 @@ from repro.markov.multigrid import CoarseningStrategy, pairing_hierarchy
 from repro.noise.distributions import DiscreteDistribution
 from repro.obs import get_registry, span
 
-__all__ = ["CDRChainModel", "build_cdr_chain", "phase_pairing_partitions"]
+__all__ = ["CDRChainModel", "build_cdr_chain", "grid_pairing_partitions"]
 
 
-def phase_pairing_partitions(
-    n_blocks: int, n_phase_points: int, coarsest_phase_points: int = 8
+def grid_pairing_partitions(
+    shape: Sequence[int], coarsest_phase_points: int = 8
 ) -> List[Partition]:
-    """The paper's coarsening hierarchy for a ``(d, c) x phase`` state space.
+    """The multigrid hierarchy of a CDR state grid: pair along every axis.
 
-    Level ``l`` maps a state space with ``M_l`` phase points onto
-    ``ceil(M_l / 2)`` points by lumping consecutive phase grid values,
-    preserving the ``n_blocks = D * C`` non-phase coordinates.  Shared by
-    the assembled :class:`CDRChainModel` and the matrix-free
-    :class:`~repro.cdr.operator.CDRTransitionOperator` so both backends
-    coarsen identically.
+    ``shape`` is the row-major state grid with the phase axis last:
+    ``(D, C, M)`` for the loop, ``(D, H, C, M)`` for the modulated model.
+    Each level halves (ceil) every non-phase axis still larger than 1 and
+    the phase axis while it exceeds ``coarsest_phase_points``; a coarse
+    state lumps the up-to ``2^k`` fine states whose coordinates agree
+    after halving, and an odd axis leaves its last index a singleton.  The
+    hierarchy ends when no axis can shrink.
+
+    This extends the paper's lumping of "the two states corresponding to
+    consecutive discretized phase error values" to the data and counter
+    coordinates, which phase pairing never coarsens.  At ``(2, 15, 2048)``
+    the first four levels hold 61,440, 8,192, 2,048 and 512 states (the
+    solver's default coarsest size); phase pairing alone needs eight
+    levels to get from 61,440 to 480.  Every CDR backend coarsens through
+    this one function, so they coarsen identically.
     """
     if coarsest_phase_points < 2:
         raise ValueError("coarsest_phase_points must be at least 2")
+    shape = tuple(int(a) for a in shape)
+    if not shape or min(shape) < 1:
+        raise ValueError("shape must be a non-empty tuple of positive sizes")
     partitions = []
-    M = n_phase_points
-    while M > coarsest_phase_points:
-        Mc = (M + 1) // 2
-        i = np.arange(n_blocks * M)
-        assign = (i // M) * Mc + (i % M) // 2
+    while True:
+        coarse = tuple((a + 1) // 2 for a in shape[:-1])
+        M = shape[-1]
+        coarse += ((M + 1) // 2 if M > coarsest_phase_points else M,)
+        if coarse == shape:
+            return partitions
+        # Row-major coarse index of every fine state, one axis at a time.
+        assign = np.zeros(1, dtype=np.int64)
+        for a, ac in zip(shape, coarse):
+            coord = np.arange(a) // (2 if ac < a else 1)
+            assign = (assign[:, None] * ac + coord).ravel()
         partitions.append(Partition(assign))
-        M = Mc
-    return partitions
+        shape = coarse
 
 
 @dataclass
@@ -183,23 +204,13 @@ class CDRChainModel:
     # multigrid support
     # ------------------------------------------------------------------ #
 
-    def phase_pairing_partitions(self, coarsest_phase_points: int = 8) -> List[Partition]:
-        """The paper's coarsening: lump consecutive phase-error grid values.
-
-        Returns one partition per level; level ``l`` maps a state space
-        with ``M_l`` phase points onto ``ceil(M_l / 2)`` points, preserving
-        the data and counter coordinates, "so the lumped problems resemble
-        the original problem but with coarser phase error discretization".
-        """
-        return phase_pairing_partitions(
-            self.n_data_states * self.n_counter_states,
-            self.n_phase_points,
-            coarsest_phase_points,
-        )
-
     def multigrid_strategy(self, coarsest_phase_points: int = 8) -> CoarseningStrategy:
-        """A ready-to-use coarsening strategy for the multigrid solver."""
-        return pairing_hierarchy(self.phase_pairing_partitions(coarsest_phase_points))
+        """The multigrid coarsening: :func:`grid_pairing_partitions` of
+        the ``(d, c, m)`` grid, as a ready-to-use strategy."""
+        shape = (self.n_data_states, self.n_counter_states, self.n_phase_points)
+        return pairing_hierarchy(
+            grid_pairing_partitions(shape, coarsest_phase_points)
+        )
 
     # ------------------------------------------------------------------ #
     # structure report (Figure 3)

@@ -27,19 +27,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.cdr.data_source import transition_run_length_source
 from repro.cdr.loop_filter import counter_state_count
+from repro.cdr.model import grid_pairing_partitions
 from repro.cdr.operator import _sign_masses
 from repro.cdr.phase_error import PhaseGrid
 from repro.fsm.stochastic import MarkovSource
 from repro.markov.chain import MarkovChain
 from repro.obs import get_registry, span
-from repro.markov.lumping import Partition
 from repro.markov.multigrid import CoarseningStrategy, pairing_hierarchy
 from repro.noise.distributions import DiscreteDistribution
 
@@ -185,22 +185,17 @@ class ModulatedCDRModel:
         blocks = self.n_data_states * self.n_drift_states * self.n_counter_states
         return np.tile(self.grid.values, blocks)
 
-    def phase_pairing_partitions(self, coarsest_phase_points: int = 8) -> List[Partition]:
-        """The paper's phase-pairing coarsening, preserving (d, h, c)."""
-        if coarsest_phase_points < 2:
-            raise ValueError("coarsest_phase_points must be at least 2")
-        partitions = []
-        blocks = self.n_data_states * self.n_drift_states * self.n_counter_states
-        M = self.n_phase_points
-        while M > coarsest_phase_points:
-            Mc = (M + 1) // 2
-            i = np.arange(blocks * M)
-            partitions.append(Partition((i // M) * Mc + (i % M) // 2))
-            M = Mc
-        return partitions
-
     def multigrid_strategy(self, coarsest_phase_points: int = 8) -> CoarseningStrategy:
-        return pairing_hierarchy(self.phase_pairing_partitions(coarsest_phase_points))
+        """Grid pairing of the ``(d, h, c, m)`` grid, drift axis included."""
+        shape = (
+            self.n_data_states,
+            self.n_drift_states,
+            self.n_counter_states,
+            self.n_phase_points,
+        )
+        return pairing_hierarchy(
+            grid_pairing_partitions(shape, coarsest_phase_points)
+        )
 
     def transition_operator(self):
         """The chain as a :class:`~repro.markov.linop.TransitionOperator`.

@@ -33,7 +33,6 @@ from repro.cdr.loop_filter import counter_state_count
 from repro.cdr.phase_error import PhaseGrid
 from repro.fsm.stochastic import MarkovSource
 from repro.kernels import RollPlan, as_apply_block, as_apply_vector, get_kernel
-from repro.markov.lumping import Partition
 from repro.markov.multigrid import CoarseningStrategy, pairing_hierarchy
 from repro.noise.distributions import DiscreteDistribution
 from repro.obs import get_registry, span
@@ -423,30 +422,23 @@ class CDRTransitionOperator:
         return E
 
     # ------------------------------------------------------------------ #
-    # multigrid coarsening (the paper's phase-pairing strategy)
+    # multigrid coarsening
     # ------------------------------------------------------------------ #
-
-    def phase_pairing_partitions(
-        self, coarsest_phase_points: int = 8
-    ) -> List[Partition]:
-        """The paper's coarsening: lump consecutive phase grid values.
-
-        Identical to
-        :meth:`repro.cdr.model.CDRChainModel.phase_pairing_partitions`, so
-        matrix-free multigrid coarsens exactly like the assembled solve.
-        """
-        from repro.cdr.model import phase_pairing_partitions
-
-        return phase_pairing_partitions(
-            self.D * self.C, self.M, coarsest_phase_points
-        )
 
     def multigrid_strategy(
         self, coarsest_phase_points: int = 8
     ) -> CoarseningStrategy:
-        """A ready-to-use coarsening strategy for the multigrid solver."""
+        """The multigrid coarsening of the ``(d, c, m)`` grid.
+
+        :func:`repro.cdr.model.grid_pairing_partitions`, as for the
+        assembled model, so matrix-free multigrid coarsens exactly like
+        the assembled solve.
+        """
+        from repro.cdr.model import grid_pairing_partitions
+
+        shape = (self.D, self.C, self.M)
         return pairing_hierarchy(
-            self.phase_pairing_partitions(coarsest_phase_points)
+            grid_pairing_partitions(shape, coarsest_phase_points)
         )
 
     def phase_marginal(self, distribution: np.ndarray) -> np.ndarray:

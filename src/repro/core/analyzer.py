@@ -5,8 +5,9 @@
 1. compile the spec's FSM/noise description into the product Markov chain
    (vectorized assembly; the paper's "Matrixformtime");
 2. compute the stationary distribution, by default with the multi-level
-   aggregation multigrid using the paper's phase-pairing coarsening (the
-   "Iter" and "Solvetime" numbers);
+   aggregation multigrid, coarsened by grid pairing (the paper's lumping
+   of consecutive phase points, extended to the data and counter
+   coordinates; the "Iter" and "Solvetime" numbers);
 3. derive the performance measures: BER from the tails of the stationary
    noisy-phase distribution, cycle-slip rate / mean time between slips
    from the wrap flux, and phase-error statistics.
@@ -210,8 +211,8 @@ def _solve_and_measure(
         # smoothing: CDR chains are drift-dominated, where extra cheap
         # sweeps per V-cycle pay for themselves several times over.  With
         # a solve context the coarsening partitions come from its cache
-        # (built once per chain structure, with the model's phase-pairing
-        # -- a bare assembled CSR carries no phase structure to discover).
+        # (built once per chain structure, with the model's grid pairing
+        # -- a bare assembled CSR carries no grid structure to discover).
         if solve_context is not None and "strategy" not in solver_kwargs:
             solver_kwargs.setdefault(
                 "hierarchy",
@@ -367,7 +368,7 @@ def analyze_cdr(
     solver:
         Any name registered in :mod:`repro.markov.registry`; ``"auto"``
         picks direct LU for small assembled chains and the paper's
-        multigrid (with phase-pairing coarsening) for large ones.  With a
+        multigrid (with grid-pairing coarsening) for large ones.  With a
         matrix-free backend, ``auto`` picks power iteration for small
         models and multigrid for large ones (direct LU needs the
         assembled matrix).

@@ -175,7 +175,7 @@ def build_hierarchy(
     Runs the strategy level by level against uniform-weight Galerkin
     coarse operators (structure discovery does not depend on any iterate)
     and records the partition stack.  ``strategy`` is a registered name
-    (``"auto"``, ``"phase-pairing"``, ``"algebraic"``, ``"pairwise"``) or
+    (``"auto"``, ``"grid-pairing"``, ``"algebraic"``, ``"pairwise"``) or
     a callable ``(level, P) -> Partition | None``.
     """
     operator = as_operator(op)
@@ -225,8 +225,8 @@ class SolveContext:
     ----------
     strategy:
         Coarsening strategy name or callable used when a hierarchy must
-        be built (default ``"auto"``: the paper's phase-pairing when the
-        operator carries phase-grid structure, algebraic
+        be built (default ``"auto"``: grid pairing when the operator
+        carries the CDR state-grid structure, algebraic
         strength-of-connection otherwise).
     coarsest_size, max_levels:
         Hierarchy-construction bounds (match the multigrid defaults).
@@ -259,8 +259,8 @@ class SolveContext:
         """The cached hierarchy for this operator's structure (built once).
 
         ``strategy`` overrides the context default for the *build* only
-        (e.g. the analyzer passes the CDR model's phase-pairing for
-        assembled chains, whose bare CSR carries no phase structure); a
+        (e.g. the analyzer passes the CDR model's grid pairing for
+        assembled chains, whose bare CSR carries no grid structure); a
         cached hierarchy is returned regardless of which strategy built
         it -- the digest keys structure, not strategy.
         """

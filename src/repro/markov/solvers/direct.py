@@ -19,10 +19,15 @@ solve, and aggregation/disaggregation one through its iteration.
   from the weights ``w`` (the caller's iterate, or uniform), taken among
   the states of closed classes (all states when the chain is
   irreducible).
-* **Order.**  The states other than ``r`` are ordered by a COLAMD
-  factorization of ``B``, the block of ``I - P^T`` without row and column
-  ``r``; ``r`` (the all-ones row and its column) goes last.  The system is
-  permuted symmetrically, so every pivot is a diagonal entry.
+* **Order.**  The states other than ``r`` are ordered by a minimum
+  degree ordering of ``B + B^T`` (SuperLU's ``MMD_AT_PLUS_A``), ``B``
+  being the block of ``I - P^T`` without row and column ``r``; ``r`` (the
+  all-ones row and its column) goes last.  The system is permuted
+  symmetrically, so every pivot is a diagonal entry and the fill is that
+  of the symmetrized pattern, the one minimum degree orders for.  COLAMD
+  orders for ``B^T B`` instead: on the EXT-OP chain at ``M=512`` it left 4.20M
+  L+U entries against 2.66M, and planning plus factoring took 1.27 s
+  against 0.59 s.
 * **Why no pivoting is safe.**  For an irreducible chain ``B`` is a
   nonsingular M-matrix whose columns are diagonally dominant (column
   ``j`` is row ``j`` of ``I - P``), and Gaussian elimination on such a
@@ -162,7 +167,7 @@ class DirectPlan:
             sub = P[rest][:, rest]
             B = (sp.identity(rest.size, format="csr") - sub).T
             try:
-                lu = splu(B, permc_spec="COLAMD")
+                lu = splu(B, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise ArithmeticError(_SINGULAR) from exc
             # perm_c[j] is the position of column j, so argsort lists

@@ -354,6 +354,16 @@ def _format_failures_by_cause(failed: List[Dict[str, Any]]) -> List[str]:
     return lines
 
 
+def _hierarchy_sizes(trace: Optional[Dict[str, Any]]) -> List[int]:
+    """State counts of the multigrid levels, fine first, from cycle 1's
+    level events in a solver trace (empty when it has none)."""
+    sizes: Dict[int, int] = {}
+    for event in (trace or {}).get("vcycle_events") or []:
+        if event.get("cycle") == 1:
+            sizes.setdefault(event["level"], event["n_states"])
+    return [sizes[level] for level in sorted(sizes)]
+
+
 def format_run_manifest(manifest: Dict[str, Any]) -> str:
     """Human-readable rendering of a run manifest (``repro stats``)."""
     lines: List[str] = []
@@ -429,11 +439,13 @@ def format_run_manifest(manifest: Dict[str, Any]) -> str:
             )
     if str(results.get("solver_method", "")).startswith("multigrid"):
         rate = results.get("solver_convergence_rate")
+        sizes = _hierarchy_sizes(trace)
         lines.append(
             f"multigrid: {results.get('solver_iterations')} cycles, "
             + (f"contraction {rate:.3g}/cycle, " if rate is not None else "")
             + f"{results.get('solver_recombinations', 0)} recombinations "
             "accepted"
+            + (", levels " + "→".join(map(str, sizes)) if sizes else "")
         )
     snapshot = (manifest.get("metrics") or {}).get("snapshot") or {}
     if snapshot:

@@ -17,7 +17,13 @@ from repro.cdr.backends import OperatorCDRModel
 from repro.cdr.operator import CDRTransitionOperator
 from repro.core.analyzer import analyze_cdr
 from repro.core.spec import CDRSpec
-from repro.markov import as_operator, backend_names, get_backend, solver_table
+from repro.markov import (
+    as_operator,
+    backend_names,
+    build_hierarchy,
+    get_backend,
+    solver_table,
+)
 from repro.markov.lumping import Partition, lumped_tpm
 from repro.scenarios.registry import get_scenario, scenario_names
 
@@ -99,7 +105,11 @@ class TestMatvecAgreement:
 
     def test_restrict_matches_lumped_tpm(self, pair):
         _, assembled, mf = pair
-        part = mf.phase_pairing_partitions()[0]
+        part = build_hierarchy(
+            mf.chain, strategy=mf.multigrid_strategy(), coarsest_size=1
+        ).partitions[0]
+        # (d, c, m) = (2, 3, 32) -> (1, 2, 16): blocks of up to 8 states.
+        assert part.n_blocks == 32
         w = np.random.default_rng(7).random(assembled.n_states)
         ref = lumped_tpm(assembled.chain.P, part, weights=w)
         C = lumped_tpm(mf.chain, part, weights=w)

@@ -12,7 +12,7 @@ from repro.cdr import (
     transition_run_length_source,
 )
 from repro.fsm import IIDSource
-from repro.markov import classify, solve_direct, solve_multigrid
+from repro.markov import build_hierarchy, classify, solve_direct, solve_multigrid
 from repro.noise import DiscreteDistribution, eye_opening_noise, sonet_drift_noise
 
 
@@ -289,15 +289,20 @@ class TestStationaryFluxBalance:
 
 class TestMultigridIntegration:
     def test_partitions_halve_phase_axis(self):
-        model = small_model()  # M=32
-        parts = model.phase_pairing_partitions(coarsest_phase_points=4)
-        assert len(parts) == 3  # 32 -> 16 -> 8 -> 4
+        model = small_model()  # (d, c, m) = (3, 5, 32)
+        parts = build_hierarchy(
+            model.chain,
+            strategy=model.multigrid_strategy(coarsest_phase_points=4),
+            coarsest_size=1,
+        ).partitions
+        # Every axis halves (ceil), phase down to 4 points:
+        # (3, 5, 32) -> (2, 3, 16) -> (1, 2, 8) -> (1, 1, 4)
+        assert [p.n_blocks for p in parts] == [96, 16, 4]
         assert parts[0].n_states == model.n_states
-        assert parts[0].n_blocks == model.n_states // 2
 
     def test_partitions_validation(self):
         with pytest.raises(ValueError):
-            small_model().phase_pairing_partitions(coarsest_phase_points=1)
+            small_model().multigrid_strategy(coarsest_phase_points=1)
 
     def test_multigrid_matches_direct(self):
         model = small_model()

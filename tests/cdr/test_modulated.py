@@ -14,7 +14,7 @@ from repro.cdr import (
 )
 from repro.core.measures import bit_error_rate, cycle_slip_rate
 from repro.fsm import MarkovSource
-from repro.markov import MarkovChain, solve_direct
+from repro.markov import MarkovChain, build_hierarchy, solve_direct
 from repro.noise import DiscreteDistribution, eye_opening_noise
 
 
@@ -141,9 +141,12 @@ class TestModulatedModel:
         assert cycle_slip_rate(model, eta) >= 0.0
 
     def test_multigrid_partitions(self, model):
-        parts = model.phase_pairing_partitions(coarsest_phase_points=8)
+        parts = build_hierarchy(
+            model.chain, strategy=model.multigrid_strategy(), coarsest_size=1
+        ).partitions
         assert parts[0].n_states == model.n_states
-        assert parts[0].n_blocks == model.n_states // 2
+        # (d, h, c, m) = (2, 8, 3, 32) -> (1, 4, 2, 16): drift pairs too.
+        assert parts[0].n_blocks == model.n_states // 12
 
     def test_multigrid_matches_direct(self, model):
         from repro.markov import solve_multigrid

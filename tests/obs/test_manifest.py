@@ -163,6 +163,40 @@ class TestWriteLoadFormat:
         )
         assert text.index(line) > hot
 
+    def test_multigrid_line_lists_levels(self):
+        # (d, c, m) = (2, 15, 128) pairs to (1, 8, 64): 3,840 -> 512
+        # states, and 512 is the coarsest size.
+        spec = CDRSpec(
+            n_phase_points=128, n_clock_phases=16, counter_length=8,
+            max_run_length=2, nw_std=0.05, nw_atoms=9,
+        )
+        analysis = analyze_cdr(spec, solver="multigrid", tol=1e-10)
+        m = build_run_manifest(analysis=analysis)
+        events = m["solver_trace"]["vcycle_events"]
+        assert {e["level"] for e in events if e["cycle"] == 1} == {0, 1}
+        text = format_run_manifest(m)
+        assert "recombinations accepted, levels 3840→512\n" in text
+
+    def test_levels_read_from_the_first_cycle(self):
+        event = dict(nnz=0, n_blocks=0, pre_smooth_time=0.0,
+                     post_smooth_time=0.0)
+        trace = {"vcycle_events": [
+            dict(event, cycle=1, level=1, n_states=2048),
+            dict(event, cycle=1, level=0, n_states=61440),
+            dict(event, cycle=1, level=2, n_states=512),
+            dict(event, cycle=2, level=0, n_states=61440),
+            dict(event, cycle=2, level=3, n_states=7),
+        ]}
+        m = {"schema": RUN_TRACE_SCHEMA, "kind": "analysis",
+             "results": {"solver_method": "multigrid", "solver_iterations": 2},
+             "solver_trace": dict(trace, method="multigrid", iterations=2,
+                                  residual=1e-11)}
+        lines = format_run_manifest(m).splitlines()
+        assert (
+            "multigrid: 2 cycles, 0 recombinations accepted, "
+            "levels 61440→2048→512"
+        ) in lines
+
     def test_direct_solve_has_no_multigrid_line(self, traced_run):
         tracer, analysis = traced_run
         m = build_run_manifest(analysis=analysis, tracer=tracer)
