@@ -17,9 +17,9 @@ Shape claims checked:
 The end-to-end sweep (``TestEndToEndSolve``) additionally runs the full
 BER pipeline -- spec -> backend registry -> multigrid -> measures -- once
 per (backend, grid size) pair in a *fresh subprocess*, so ``ru_maxrss``
-is a faithful per-configuration peak.  (The committed ``BENCH_ext_op.json``
-timing artifact is owned by the registered benchmark harness --
-``python -m repro bench run --suite ext-op`` -- not by this file.)
+is a faithful per-configuration peak.  (Tracked timings of the two
+backends come from the end-to-end benchmark, ``benchmarks/e2e``, whose
+``point-m512``/``point-m2048`` workloads solve this design on both.)
 """
 
 import json

@@ -1,61 +1,6 @@
-"""Registered benchmark suites and perf-regression tracking.
+"""Environment identity for performance records.
 
-The performance counterpart of the scenario catalog: benchmarks register
-themselves with :func:`~repro.bench.registry.register_benchmark`, suites
-run into versioned ``repro.bench/1`` JSON reports with an environment
-fingerprint (:mod:`repro.bench.suite`), and two reports diff through the
-noise-aware regression gate in :mod:`repro.bench.compare`.  The CLI front
-end is ``repro bench list|run|compare|report``; the checked-in
-``BENCH_*.json`` artifacts are produced by ``repro bench run --suite
-<name>``.
+:func:`.suite.environment_fingerprint` tells a later comparison whether
+two timings came from comparable environments.  The perf-tracking front
+end is ``python -m benchmarks.e2e run|compare``.
 """
-
-from repro.bench.registry import (
-    BenchmarkEntry,
-    benchmark_names,
-    benchmark_table,
-    get_benchmark,
-    register_benchmark,
-    suite_benchmarks,
-    suite_names,
-)
-from repro.bench.suite import (
-    BENCH_SCHEMA,
-    default_output_path,
-    environment_fingerprint,
-    load_report,
-    run_benchmark,
-    run_suite,
-    write_report,
-)
-from repro.bench.compare import (
-    DEFAULT_MIN_DELTA_S,
-    DEFAULT_THRESHOLD,
-    Comparison,
-    ComparisonRow,
-    compare_reports,
-    format_comparison,
-)
-
-__all__ = [
-    "BenchmarkEntry",
-    "register_benchmark",
-    "get_benchmark",
-    "benchmark_names",
-    "benchmark_table",
-    "suite_names",
-    "suite_benchmarks",
-    "BENCH_SCHEMA",
-    "environment_fingerprint",
-    "run_benchmark",
-    "run_suite",
-    "default_output_path",
-    "write_report",
-    "load_report",
-    "DEFAULT_THRESHOLD",
-    "DEFAULT_MIN_DELTA_S",
-    "Comparison",
-    "ComparisonRow",
-    "compare_reports",
-    "format_comparison",
-]

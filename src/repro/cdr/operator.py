@@ -21,6 +21,7 @@ matrix for 1e7 states at ~9 nnz/row would already need multiple GB).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -115,6 +116,7 @@ class CDRTransitionOperator:
                 n_roll_terms=self._plan.n_terms,
                 kernel_tier=self._kernel.name,
             )
+        self._topology_sha256: Optional[str] = None
         self._diag: Optional[np.ndarray] = None
         self._ones: Optional[np.ndarray] = None
         get_registry().counter(
@@ -359,8 +361,19 @@ class CDRTransitionOperator:
         cached hierarchy (see :func:`repro.markov.context.structural_digest`).
         The decision masses ``q_vec`` and the drift/data ``scalar``
         weights are *values*, not structure, and are deliberately left
-        out; what remains is the (src, dst, shift) roll topology.
+        out; what remains is the (src, dst, shift) roll topology, carried
+        as the SHA-256 of its term list.
         """
+        if self._topology_sha256 is None:
+            # Every hierarchy-cache lookup digests this token, and the
+            # terms never change after construction: hash them once, on
+            # first use, so operators never looked up pay nothing.
+            topology = np.array(
+                [(src, dst, shift % self.M, q_vec is None)
+                 for src, dst, shift, q_vec, _ in self._terms],
+                dtype=np.int64,
+            )
+            self._topology_sha256 = hashlib.sha256(topology.tobytes()).hexdigest()
         return (
             "cdr",
             self.D,
@@ -368,10 +381,7 @@ class CDRTransitionOperator:
             self.M,
             self.counter_length,
             self.phase_step_units,
-            tuple(
-                (src, dst, shift % self.M, q_vec is None)
-                for src, dst, shift, q_vec, _ in self._terms
-            ),
+            self._topology_sha256,
         )
 
     def _slip_terms(self) -> Iterator[Tuple[int, int, int, np.ndarray, np.ndarray]]:

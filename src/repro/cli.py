@@ -13,11 +13,6 @@ The commands mirror the library's main entry points:
     lock-probability curve checkpoints.
 ``stats``
     Pretty-print a run manifest written by ``--metrics``.
-``bench``
-    The performance observatory: list the registered benchmarks, run a
-    suite into a versioned ``repro.bench/1`` report (the ``BENCH_*.json``
-    trajectory), diff two reports with the noise-aware regression gate,
-    or pretty-print a report.
 ``solvers``
     List the registered stationary solvers (with their matrix-free
     capability) and TPM backends -- the ``--solver`` / ``--backend``
@@ -337,52 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="golden directory (default: the packaged one)")
     p_vf.add_argument("--report", metavar="PATH", default=None,
                       help="write the verification report as JSON to PATH")
-
-    p_be = sub.add_parser(
-        "bench",
-        help="registered benchmark suites and perf-regression tracking")
-    be_sub = p_be.add_subparsers(dest="bench_command", required=True)
-
-    be_sub.add_parser("list", help="list the registered benchmarks")
-
-    p_br = be_sub.add_parser(
-        "run", help="run a suite into a repro.bench/1 report")
-    p_br.add_argument("--suite", default="smoke",
-                      help="registered suite name (default: %(default)s); "
-                           "'all' runs every benchmark")
-    p_br.add_argument("--name", action="append", default=None,
-                      metavar="BENCH",
-                      help="run only the named benchmark (repeatable; "
-                           "overrides --suite)")
-    p_br.add_argument("--rounds", type=int, default=None, metavar="N",
-                      help="override every benchmark's registered rounds")
-    p_br.add_argument("--warmup", type=int, default=None, metavar="N",
-                      help="override every benchmark's registered warmup")
-    p_br.add_argument("--output", metavar="PATH", default=None,
-                      help="report path (default: BENCH_<suite>.json)")
-
-    p_bc = be_sub.add_parser(
-        "compare",
-        help="diff two reports; exits nonzero on a regression")
-    p_bc.add_argument("baseline", metavar="BASELINE",
-                      help="baseline repro.bench/1 report")
-    p_bc.add_argument("current", metavar="CURRENT",
-                      help="current repro.bench/1 report")
-    p_bc.add_argument("--threshold", type=float, default=None,
-                      metavar="FRAC",
-                      help="relative slowdown tolerated before a benchmark "
-                           "regresses (default: 0.5 = +50%%)")
-    p_bc.add_argument("--min-delta-ms", type=float, default=None,
-                      metavar="MS",
-                      help="absolute slowdown floor in milliseconds "
-                           "(default: 5)")
-    p_bc.add_argument("--report", metavar="PATH", default=None,
-                      help="write the comparison as JSON to PATH")
-
-    p_bp = be_sub.add_parser(
-        "report", help="pretty-print a repro.bench/1 report")
-    p_bp.add_argument("report", metavar="PATH",
-                      help="path of a repro.bench/1 JSON report")
     return parser
 
 
@@ -681,72 +630,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    if args.bench_command == "list":
-        for entry in bench.benchmark_table():
-            suites = ",".join(entry.suites)
-            print(f"{entry.name:<42} [{suites}] rounds={entry.rounds} "
-                  f"{entry.description}")
-        return 0
-
-    if args.bench_command == "run":
-        suite = None if args.suite == "all" else args.suite
-
-        def progress(entry, row):
-            if row.get("skipped"):
-                print(f"  {entry.name:<42} skipped: {row['skipped']}",
-                      file=sys.stderr)
-                return
-            print(f"  {entry.name:<42} min {row['min_s']:9.4f} s  "
-                  f"mean {row['mean_s']:9.4f} s  ({row['rounds']} rounds)",
-                  file=sys.stderr)
-
-        report = bench.run_suite(
-            suite=suite, names=args.name, rounds=args.rounds,
-            warmup=args.warmup, progress=progress,
-        )
-        output = args.output or bench.default_output_path(report["suite"])
-        bench.write_report(output, report)
-        print(f"benchmark report ({len(report['results'])} benchmarks) "
-              f"written to {output}", file=sys.stderr)
-        return 0
-
-    if args.bench_command == "compare":
-        kwargs = {}
-        if args.threshold is not None:
-            kwargs["threshold"] = args.threshold
-        if args.min_delta_ms is not None:
-            kwargs["min_delta_s"] = args.min_delta_ms / 1e3
-        comparison = bench.compare_reports(
-            bench.load_report(args.baseline),
-            bench.load_report(args.current),
-            **kwargs,
-        )
-        print(bench.format_comparison(comparison))
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(comparison.to_dict(), fh, indent=2)
-                fh.write("\n")
-            print(f"comparison written to {args.report}", file=sys.stderr)
-        return comparison.exit_code
-
-    # report
-    report = bench.load_report(args.report)
-    fp = report.get("fingerprint", {})
-    print(f"{report['schema']} suite={report['suite']} "
-          f"({len(report['results'])} benchmarks)")
-    print("fingerprint: " + "  ".join(f"{k}={v}" for k, v in sorted(fp.items())))
-    for row in report["results"]:
-        if row.get("skipped"):
-            print(f"  {row['name']:<42} skipped: {row['skipped']}")
-            continue
-        print(f"  {row['name']:<42} min {row['min_s']:9.4f} s  "
-              f"mean {row['mean_s']:9.4f} s  ({row['rounds']} rounds)")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code.
 
@@ -775,8 +658,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_faults(args)
         if args.command == "scenarios":
             return _cmd_scenarios(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         return _cmd_acquire(args)
     except (
         ValueError, OSError, ArithmeticError,

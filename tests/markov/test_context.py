@@ -137,6 +137,19 @@ class TestStructuralDigest:
         assert structural_digest(a) == structural_digest(b)
         assert structural_digest(a) != structural_digest(c)
 
+    @pytest.mark.parametrize("backend", ["assembled", "matrix-free"])
+    def test_cdr_token_is_short_and_stable(self, backend):
+        # Every hierarchy_for / warm_start_for call digests the token, so
+        # it must not grow with the term list (about 580 terms here).
+        spec = CDRSpec(
+            n_phase_points=512, n_clock_phases=16, counter_length=8,
+            max_run_length=2, nw_std=0.1, nw_atoms=9,
+        )
+        chain = get_backend(backend).build(spec).chain
+        token = chain.structure_token()
+        assert len(repr(token)) < 200
+        assert chain.structure_token() == token
+
     def test_plain_matrices_digest_by_sparsity_pattern(self):
         P1 = sp.csr_matrix(np.array([[0.5, 0.5], [0.25, 0.75]]))
         P2 = sp.csr_matrix(np.array([[0.9, 0.1], [0.6, 0.4]]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import CDRSpec, analyze_cdr, obs
+from repro.bench.suite import environment_fingerprint
 from repro.obs import (
     RUN_TRACE_SCHEMA,
     Tracer,
@@ -45,6 +46,20 @@ class TestHelpers:
         assert digest_array(a) == digest_array(a.copy())
         assert digest_array(a) != digest_array(a.reshape(2, 3))
         assert digest_array(a) != digest_array(a + 1)
+
+    def test_fingerprint_stability(self):
+        # Two fingerprints of one environment must be identical: an e2e
+        # comparison relies on it to tell machine changes from regressions.
+        fp = environment_fingerprint()
+        assert fp == environment_fingerprint()
+        assert set(fp) == {
+            "python", "python_implementation", "numpy", "scipy", "repro",
+            "system", "machine", "cpu_count", "kernels",
+        }
+        # One source for environment data: the manifest reports the same.
+        m = build_run_manifest(registry=MetricsRegistry())
+        for key, value in {**m["versions"], **m["platform"]}.items():
+            assert fp[key] == value
 
 
 class TestBuildRunManifest:
