@@ -389,8 +389,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
     _print_resilience_events(getattr(analysis, "resilience_events", None))
     if args.trace:
-        # The analyzer always records the solve (the winning attempt, on
-        # a resilient run) -- export that recording.
+        # Every solver records its solve (the winning attempt's, on a
+        # resilient run) -- export that recording.
         analysis.solver_recording.write_trace(args.trace)
         print(f"solver trace written to {args.trace}", file=sys.stderr)
     if args.json:

@@ -14,9 +14,10 @@
 
 Every run is traced with :mod:`repro.obs` spans: the root ``cdr.analyze``
 span (stored on the result as :attr:`CDRAnalysis.trace`) nests
-``cdr.build_tpm``, ``markov.solve`` and ``cdr.measures`` children, and the
-solver's per-iteration telemetry is always recorded (available as
-:attr:`CDRAnalysis.solver_recording` for run manifests).  Stage wall times
+``cdr.build_tpm``, ``markov.solve`` and ``cdr.measures`` children.  The
+solver's own recording of the solve (every solver keeps one) is
+:attr:`CDRAnalysis.solver_recording`, which run manifests embed as their
+solver trace; the analyzer records nothing of its own.  Stage wall times
 are exposed as :attr:`CDRAnalysis.build_seconds` /
 :attr:`CDRAnalysis.solve_seconds` (the legacy ``form_time`` /
 ``solve_time`` aliases have been removed).
@@ -34,7 +35,7 @@ import repro.cdr.backends  # noqa: F401  (registers the built-in backends)
 from repro.cdr.model import CDRChainModel
 from repro.core import measures as _measures
 from repro.core.spec import CDRSpec
-from repro.markov.monitor import MultiSolveRecorder, RecordingMonitor, TeeMonitor
+from repro.markov.monitor import RecordingMonitor
 from repro.markov.registry import get_backend
 from repro.markov.solvers.result import StationaryResult
 from repro.markov.stationary import stationary_distribution
@@ -63,8 +64,6 @@ class CDRAnalysis:
     solver_entry: Optional[str] = None
     #: Root span of this run (``cdr.analyze``) with nested stage spans.
     trace: Optional[object] = field(default=None, repr=False)
-    #: Per-iteration solver telemetry recorded during the solve.
-    solver_recording: Optional[RecordingMonitor] = field(default=None, repr=False)
     #: Structured resilience events (solver attempts, escalations, backend
     #: degradations, checkpoint resumes) when the run used the resilient
     #: solve path; empty for plain solves.  Embedded in run manifests.
@@ -73,6 +72,14 @@ class CDRAnalysis:
     @property
     def stationary(self) -> np.ndarray:
         return self.solver_result.distribution
+
+    @property
+    def solver_recording(self) -> Optional[RecordingMonitor]:
+        """The solver's own per-iteration recording of the solve.
+
+        On a resilient run this is the winning attempt's recording.
+        """
+        return self.solver_result.recording
 
     @property
     def n_states(self) -> int:
@@ -235,13 +242,7 @@ def _solve_and_measure(
         )
     x0 = solver_kwargs.pop("x0", None)
 
-    # Always record the solver's per-iteration events so run manifests can
-    # embed the full repro.solver-trace/1 story; tee to a caller monitor.
-    # The resilient path may run several attempts, each opening a fresh
-    # solve -- a multi-solve recorder keeps the winning attempt's trace.
-    recorder = MultiSolveRecorder() if resilience is not None else RecordingMonitor()
-    user_monitor = solver_kwargs.pop("monitor", None)
-    monitor = recorder if user_monitor is None else TeeMonitor(recorder, user_monitor)
+    monitor = solver_kwargs.pop("monitor", None)
 
     resilience_events: List[Dict[str, Any]] = []
     with span(
@@ -305,7 +306,6 @@ def _solve_and_measure(
             backend=backend,
             solver_entry=solver,
             trace=root,
-            solver_recording=recorder,
             resilience_events=resilience_events,
         )
     root.set_attributes(n_states=model.n_states, ber=analysis.ber)
@@ -399,12 +399,11 @@ def analyze_cdr(
         the context.  Sweeps and Monte-Carlo campaigns share one context
         across all their points.
     tol, max_iter, solver_kwargs:
-        Forwarded to the solver.  Pass
-        ``monitor=repro.markov.RecordingMonitor()`` here to capture the
-        solve's per-iteration telemetry (the CLI's ``--trace`` flag does
-        exactly this and exports the recording as JSON); the analyzer
-        additionally keeps its own recording on
-        :attr:`CDRAnalysis.solver_recording` either way.
+        Forwarded to the solver.  A ``monitor`` passed here receives the
+        solve's events live (on a resilient run, every attempt's); the
+        solver's own recording of the solve is
+        :attr:`CDRAnalysis.solver_recording` either way, and the CLI's
+        ``--trace`` flag exports it as JSON.
 
     The whole run is traced: the returned analysis carries the root
     ``cdr.analyze`` span with nested build/solve/measures children

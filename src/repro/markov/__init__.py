@@ -34,7 +34,6 @@ from repro.markov.aggregation import disaggregate, solve_aggregation_disaggregat
 from repro.markov.monitor import (
     IterationEvent,
     NullMonitor,
-    MultiSolveRecorder,
     RecordingMonitor,
     SolverMonitor,
     TeeMonitor,
@@ -173,7 +172,6 @@ __all__ = [
     "unwrap_operator",
     "SolverMonitor",
     "NullMonitor",
-    "MultiSolveRecorder",
     "RecordingMonitor",
     "TeeMonitor",
     "IterationEvent",

@@ -5,18 +5,24 @@ implementing the :class:`SolverMonitor` protocol and emits one structured
 event per iteration (sweep, V-cycle, Krylov step, or the single "iteration"
 of a direct/eigen solve).  The multigrid solver additionally emits one
 :class:`VCycleLevelEvent` per level visited in each V-cycle, carrying the
-level's size, sparsity, aggregate count and smoothing timings -- the data
-needed to see where a multi-level solve spends its time.
+level's size, sparsity, aggregate count and its four stage times
+(pre-/post-smoothing, coarse build, coarsest solve) -- the data needed to
+see where a multi-level solve spends its time.
 
-The solvers themselves use an internal :class:`RecordingMonitor` as the
-single source of truth for their convergence bookkeeping: the
-``iterations``, ``residual`` and ``residual_history`` fields of
-:class:`~repro.markov.solvers.result.StationaryResult` are derived from the
-recorded events, which guarantees the invariants the conformance harness
+Every solver records its events in its own :class:`RecordingMonitor`
+(see :func:`instrument`), the one record of the solve: the result carries
+it as ``recording``, and the ``iterations``, ``residual`` and
+``residual_history`` fields of
+:class:`~repro.markov.solvers.result.StationaryResult` are derived from it,
+which guarantees the invariants the conformance harness
 (:mod:`repro.markov.conformance`) checks:
 
 * ``result.iterations == len(events)``;
 * ``result.residual == events[-1].residual`` (exact float equality).
+
+Other timing views derive from the same record: the profile session's
+``multigrid.L<k>`` stage cells (:func:`repro.obs.profile.record_vcycles`)
+and the stage line of ``repro stats``.
 
 Traces serialize to a stable JSON schema (``repro.solver-trace/1``) via
 :meth:`RecordingMonitor.to_trace` / :meth:`RecordingMonitor.write_trace`,
@@ -37,7 +43,6 @@ __all__ = [
     "NullMonitor",
     "NULL_MONITOR",
     "RecordingMonitor",
-    "MultiSolveRecorder",
     "TeeMonitor",
     "as_monitor",
     "instrument",
@@ -84,10 +89,22 @@ class VCycleLevelEvent:
         Non-zeros of the level's transition matrix.
     n_blocks:
         Aggregate (block) count produced by the coarsening strategy at this
-        level; 0 when the level was solved directly instead of coarsened.
+        level; 0 when the level was not coarsened (the coarsest level, or
+        a strategy that declined).
     pre_smooth_time, post_smooth_time:
         Wall-clock seconds spent in pre-/post-smoothing at this level
-        during this cycle (summed over the W-cycle's repeats).
+        during this cycle (summed over the W-cycle's repeats; the extra
+        smoothing of a declined level too large to solve directly counts
+        as post-smoothing).
+    coarse_build_time:
+        Seconds spent building this level's coarse operators, its Galerkin
+        plan included.
+    coarsest_solve_time:
+        Seconds spent solving this level directly, its direct plan
+        included (the coarsest level, or a declined level small enough).
+
+    The four times are exclusive: a level's time excludes the visits to
+    the levels below it, which have their own events.
     """
 
     cycle: int
@@ -97,6 +114,8 @@ class VCycleLevelEvent:
     n_blocks: int
     pre_smooth_time: float
     post_smooth_time: float
+    coarse_build_time: float = 0.0
+    coarsest_solve_time: float = 0.0
 
 
 @runtime_checkable
@@ -114,16 +133,7 @@ class SolverMonitor(Protocol):
         self, iteration: int, residual: float, elapsed: float
     ) -> None: ...
 
-    def vcycle_level(
-        self,
-        cycle: int,
-        level: int,
-        n_states: int,
-        nnz: int,
-        n_blocks: int,
-        pre_smooth_time: float,
-        post_smooth_time: float,
-    ) -> None: ...
+    def vcycle_level(self, event: VCycleLevelEvent) -> None: ...
 
     def solve_finished(
         self, converged: bool, iterations: int, residual: float, elapsed: float
@@ -141,16 +151,7 @@ class NullMonitor:
     ) -> None:
         pass
 
-    def vcycle_level(
-        self,
-        cycle: int,
-        level: int,
-        n_states: int,
-        nnz: int,
-        n_blocks: int,
-        pre_smooth_time: float,
-        post_smooth_time: float,
-    ) -> None:
+    def vcycle_level(self, event: VCycleLevelEvent) -> None:
         pass
 
     def solve_finished(
@@ -198,22 +199,8 @@ class RecordingMonitor:
     ) -> None:
         self.events.append(IterationEvent(iteration, float(residual), elapsed))
 
-    def vcycle_level(
-        self,
-        cycle: int,
-        level: int,
-        n_states: int,
-        nnz: int,
-        n_blocks: int,
-        pre_smooth_time: float,
-        post_smooth_time: float,
-    ) -> None:
-        self.vcycle_events.append(
-            VCycleLevelEvent(
-                cycle, level, n_states, nnz, n_blocks,
-                pre_smooth_time, post_smooth_time,
-            )
-        )
+    def vcycle_level(self, event: VCycleLevelEvent) -> None:
+        self.vcycle_events.append(event)
 
     def solve_finished(
         self, converged: bool, iterations: int, residual: float, elapsed: float
@@ -269,63 +256,6 @@ class RecordingMonitor:
             fh.write("\n")
 
 
-class MultiSolveRecorder:
-    """Record a *sequence* of solves, one fresh recorder per ``solve_started``.
-
-    A plain :class:`RecordingMonitor` refuses a second solve; drivers that
-    legitimately run several (the resilient fallback chain retrying or
-    escalating through methods) use this instead.  ``recorders`` holds one
-    recorder per attempt in order; ``last`` -- the most recent attempt,
-    i.e. the winning one after a successful escalation -- answers the
-    single-solve API (``to_trace`` / ``write_trace``) so run manifests and
-    ``--trace`` export work unchanged.
-    """
-
-    def __init__(self) -> None:
-        self.recorders: List[RecordingMonitor] = []
-
-    @property
-    def last(self) -> Optional[RecordingMonitor]:
-        return self.recorders[-1] if self.recorders else None
-
-    # -- SolverMonitor protocol ---------------------------------------- #
-
-    def solve_started(self, method: str, n_states: int, tol: float) -> None:
-        recorder = RecordingMonitor()
-        recorder.solve_started(method, n_states, tol)
-        self.recorders.append(recorder)
-
-    def iteration_finished(
-        self, iteration: int, residual: float, elapsed: float
-    ) -> None:
-        if self.recorders:
-            self.recorders[-1].iteration_finished(iteration, residual, elapsed)
-
-    def vcycle_level(self, *args: Any, **kwargs: Any) -> None:
-        if self.recorders:
-            self.recorders[-1].vcycle_level(*args, **kwargs)
-
-    def solve_finished(
-        self, converged: bool, iterations: int, residual: float, elapsed: float
-    ) -> None:
-        if self.recorders:
-            self.recorders[-1].solve_finished(
-                converged, iterations, residual, elapsed
-            )
-
-    # -- Single-solve API, answered by the winning attempt -------------- #
-
-    def to_trace(self) -> Dict[str, Any]:
-        if self.last is None:
-            raise RuntimeError("MultiSolveRecorder holds no solves yet")
-        return self.last.to_trace()
-
-    def write_trace(self, path_or_file: Union[str, IO[str]], indent: int = 2) -> None:
-        if self.last is None:
-            raise RuntimeError("MultiSolveRecorder holds no solves yet")
-        self.last.write_trace(path_or_file, indent=indent)
-
-
 class TeeMonitor:
     """Fan one event stream out to several monitors (first wins on errors)."""
 
@@ -342,21 +272,9 @@ class TeeMonitor:
         for m in self.monitors:
             m.iteration_finished(iteration, residual, elapsed)
 
-    def vcycle_level(
-        self,
-        cycle: int,
-        level: int,
-        n_states: int,
-        nnz: int,
-        n_blocks: int,
-        pre_smooth_time: float,
-        post_smooth_time: float,
-    ) -> None:
+    def vcycle_level(self, event: VCycleLevelEvent) -> None:
         for m in self.monitors:
-            m.vcycle_level(
-                cycle, level, n_states, nnz, n_blocks,
-                pre_smooth_time, post_smooth_time,
-            )
+            m.vcycle_level(event)
 
     def solve_finished(
         self, converged: bool, iterations: int, residual: float, elapsed: float
@@ -379,9 +297,10 @@ def instrument(
     """Set up a solver's telemetry: ``(recorder, monitor_to_report_to)``.
 
     Every solver records its own events in a fresh :class:`RecordingMonitor`
-    (the source of truth for its result's ``iterations`` / ``residual`` /
-    ``residual_history``) and tees them to the caller's monitor when one was
-    passed.  ``solve_started`` has already been emitted on return.
+    (the source of truth for its result's ``recording``, ``iterations``,
+    ``residual`` and ``residual_history``) and tees them to the caller's
+    monitor when one was passed.  ``solve_started`` has already been
+    emitted on return.
     """
     recorder = RecordingMonitor()
     mon: SolverMonitor = (

@@ -34,7 +34,8 @@ visit, weighted by the coarse iterate, and each cycle runs only one
 fixed-order factorization without pivoting.  The plan is rebuilt only
 when the coarsest pattern changes; the index arrays a Galerkin plan
 shares pass that check by identity.  Its build counts as coarsest-solve
-time in the stage profile.
+time in the level's V-cycle event (``coarsest_solve_time``), as each
+Galerkin plan's build counts as coarse-build time.
 
 Between cycles, at the top level only:
 
@@ -102,13 +103,18 @@ from repro.markov.linop import (
     operator_residual,
 )
 from repro.markov.lumping import GalerkinPlan, Partition, entries_csr
-from repro.markov.monitor import NULL_MONITOR, SolverMonitor, instrument
+from repro.markov.monitor import (
+    NULL_MONITOR,
+    SolverMonitor,
+    VCycleLevelEvent,
+    instrument,
+)
 from repro.markov.registry import register_solver
 from repro.markov.solvers.direct import DirectPlan
 from repro.markov.solvers.jacobi import jacobi_split, jacobi_sweeps
 from repro.markov.solvers.power import solve_power
 from repro.markov.solvers.result import StationaryResult, prepare_initial_guess
-from repro.obs.profile import InstrumentedOperator, get_profile_session
+from repro.obs.profile import InstrumentedOperator, record_vcycles
 
 __all__ = [
     "MultigridOptions",
@@ -507,9 +513,12 @@ class MultigridSolver:
         When a ``monitor`` is passed it receives one iteration event per
         V-cycle plus one :class:`~repro.markov.monitor.VCycleLevelEvent`
         per level visited in each cycle (size, nnz, aggregate count and
-        smoothing timings of that level).  ``on_iterate(cycle, x)`` is
-        called with the fine-level iterate after every V-cycle (the
-        checkpointing attachment point).
+        the level's smoothing, coarse-build and coarsest-solve times); the
+        result's ``recording`` holds the same events.  When the solve
+        ends, they feed the active profile session's ``multigrid.L<k>``
+        stage cells (:func:`repro.obs.profile.record_vcycles`).
+        ``on_iterate(cycle, x)`` is called with the fine-level iterate
+        after every V-cycle (the checkpointing attachment point).
         """
         op = as_operator(P)
         # Assembled inputs keep flowing through the hierarchy as plain CSR
@@ -538,6 +547,9 @@ class MultigridSolver:
             self._plans = []
             self._splits = {}
             self._direct = None
+            events = recorder.vcycle_events
+            self._levels_used = 1 + max((e.level for e in events), default=-1)
+            record_vcycles(events)
         elapsed = time.perf_counter() - start
         residual = recorder.last_residual()
         if residual is None:
@@ -552,6 +564,7 @@ class MultigridSolver:
             residual_history=recorder.residual_history,
             solve_time=elapsed,
             recombinations=recombiner.accepted,
+            recording=recorder,
         )
 
     # ------------------------------------------------------------------ #
@@ -618,64 +631,55 @@ class MultigridSolver:
         opt = self.options
         n = P.shape[0]
         nnz = int(P.nnz) if sp.issparse(P) else int(getattr(P, "nnz", 0))
-        self._levels_used = max(self._levels_used, level + 1)
-        # Per-level stage attribution (smoothing / coarse build / coarsest
-        # solve) for the hot-path profile; one contextvar lookup when off.
-        session = get_profile_session()
-        role = f"multigrid.L{level}"
-        if n <= opt.coarsest_size or level + 1 >= opt.max_levels:
-            # Coarsest level: solved directly, no aggregation (n_blocks=0).
-            mon.vcycle_level(cycle, level, n, nnz, 0, 0.0, 0.0)
-            t0 = time.perf_counter()
-            x = self._coarsest_solve(P, x)
-            if session is not None:
-                session.record_stage(
-                    role, "coarsest_solve", time.perf_counter() - t0
+        clock = time.perf_counter
+        pre_time = post_time = coarse_time = coarsest_time = 0.0
+        coarsest = n <= opt.coarsest_size or level + 1 >= opt.max_levels
+        partition = None
+        if not coarsest:
+            if opt.nu_pre:
+                t0 = clock()
+                x = self._smooth(P, x, opt.nu_pre, level)
+                pre_time = clock() - t0
+            partition = self._strategy(level, P)
+            if partition is not None and partition.n_blocks >= n:
+                partition = None
+        if partition is not None:
+            gamma = 2 if opt.cycle_type == "W" else 1
+            t0 = clock()
+            plan = self._plan(P, partition, level)
+            coarse_time = clock() - t0
+            for _ in range(gamma):
+                w = np.maximum(x, _WEIGHT_FLOOR)
+                t0 = clock()
+                C = plan.coarse(P, w)
+                coarse_time += clock() - t0
+                coarse_x0 = np.bincount(
+                    partition.block_of, weights=w, minlength=partition.n_blocks
                 )
-            return x
-        pre_time = 0.0
-        if opt.nu_pre:
-            t0 = time.perf_counter()
-            x = self._smooth(P, x, opt.nu_pre, level)
-            pre_time = time.perf_counter() - t0
-        partition = self._strategy(level, P)
-        if partition is None or partition.n_blocks >= n:
-            # Strategy declined to coarsen: fall back to direct solve when
-            # affordable, otherwise keep smoothing.
-            mon.vcycle_level(cycle, level, n, nnz, 0, pre_time, 0.0)
-            if session is not None:
-                session.record_stage(role, "smooth.pre", pre_time)
-            if n <= 8 * opt.coarsest_size:
-                return self._coarsest_solve(P, x)
-            return self._smooth(P, x, opt.nu_post or 1, level)
-        gamma = 2 if opt.cycle_type == "W" else 1
-        post_time = 0.0
-        t0 = time.perf_counter()
-        plan = self._plan(P, partition, level)
-        coarse_time = time.perf_counter() - t0
-        for _ in range(gamma):
-            w = np.maximum(x, _WEIGHT_FLOOR)
-            t0 = time.perf_counter()
-            C = plan.coarse(P, w)
-            coarse_time += time.perf_counter() - t0
-            coarse_x0 = np.bincount(
-                partition.block_of, weights=w, minlength=partition.n_blocks
-            )
-            coarse_x0 = coarse_x0 / coarse_x0.sum()
-            coarse_x = self._vcycle(C, coarse_x0, level + 1, cycle, mon)
-            self._splits.pop(level + 1, None)
-            x = disaggregate(w, coarse_x, partition)
-            if opt.nu_post:
-                t1 = time.perf_counter()
-                x = self._smooth(P, x, opt.nu_post, level)
-                post_time += time.perf_counter() - t1
-        mon.vcycle_level(
-            cycle, level, n, nnz, partition.n_blocks, pre_time, post_time
-        )
-        if session is not None:
-            session.record_stage(role, "smooth.pre", pre_time)
-            session.record_stage(role, "smooth.post", post_time)
-            session.record_stage(role, "coarse_build", coarse_time)
+                coarse_x0 = coarse_x0 / coarse_x0.sum()
+                coarse_x = self._vcycle(C, coarse_x0, level + 1, cycle, mon)
+                self._splits.pop(level + 1, None)
+                x = disaggregate(w, coarse_x, partition)
+                if opt.nu_post:
+                    t0 = clock()
+                    x = self._smooth(P, x, opt.nu_post, level)
+                    post_time += clock() - t0
+        elif coarsest or n <= 8 * opt.coarsest_size:
+            # The coarsest level, or a strategy that declined to coarsen a
+            # level small enough to solve directly.
+            t0 = clock()
+            x = self._coarsest_solve(P, x)
+            coarsest_time = clock() - t0
+        else:
+            # Declined, and too large for a direct solve: keep smoothing.
+            t0 = clock()
+            x = self._smooth(P, x, opt.nu_post or 1, level)
+            post_time = clock() - t0
+        mon.vcycle_level(VCycleLevelEvent(
+            cycle, level, n, nnz,
+            0 if partition is None else partition.n_blocks,
+            pre_time, post_time, coarse_time, coarsest_time,
+        ))
         return x
 
 
@@ -722,22 +726,9 @@ def solve_multigrid(
     default_max_iter=200,
     fallback_priority=10,
 )
-def _dispatch_multigrid(P, *, tol=1e-10, max_iter=None, x0=None, monitor=None, **kwargs):
-    context = kwargs.pop("context", None)
-    hierarchy = kwargs.pop("hierarchy", None)
+def _dispatch_multigrid(P, *, max_iter=None, context=None, hierarchy=None, **kwargs):
     if context is not None and hierarchy is None:
         hierarchy = context.hierarchy_for(P)
-    return solve_multigrid(
-        P,
-        strategy=kwargs.pop("strategy", None),
-        tol=tol,
-        max_cycles=200 if max_iter is None else max_iter,
-        x0=x0,
-        nu_pre=kwargs.pop("nu_pre", 1),
-        nu_post=kwargs.pop("nu_post", 1),
-        coarsest_size=kwargs.pop("coarsest_size", 512),
-        cycle_type=kwargs.pop("cycle_type", "V"),
-        monitor=monitor,
-        hierarchy=hierarchy,
-        **kwargs,
-    )
+    if max_iter is not None:
+        kwargs["max_cycles"] = max_iter
+    return solve_multigrid(P, hierarchy=hierarchy, **kwargs)

@@ -286,6 +286,7 @@ def solve_direct(
         method="direct",
         residual_history=recorder.residual_history,
         solve_time=elapsed,
+        recording=recorder,
     )
 
 

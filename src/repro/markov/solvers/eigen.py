@@ -82,6 +82,7 @@ def solve_eigen(
         method="arnoldi",
         residual_history=recorder.residual_history,
         solve_time=elapsed,
+        recording=recorder,
     )
 
 

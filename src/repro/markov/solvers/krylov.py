@@ -236,6 +236,7 @@ def solve_krylov(
         method=method,
         residual_history=recorder.residual_history,
         solve_time=elapsed,
+        recording=recorder,
     )
 
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    from repro.markov.monitor import RecordingMonitor
 
 __all__ = [
     "StationaryResult",
@@ -124,6 +127,7 @@ def iterate_fixed_point(
         method=method,
         residual_history=recorder.residual_history,
         solve_time=elapsed,
+        recording=recorder,
     )
 
 
@@ -162,6 +166,10 @@ class StationaryResult:
     recombinations:
         Top-level iterate recombinations the solve accepted (multigrid
         only; 0 for every other solver).
+    recording:
+        The solver's own :class:`~repro.markov.monitor.RecordingMonitor`:
+        every event of the solve, exportable as a ``repro.solver-trace/1``
+        trace (``None`` for a solver that records none).
     """
 
     distribution: np.ndarray
@@ -173,6 +181,9 @@ class StationaryResult:
     solve_time: float = 0.0
     warm_started: bool = False
     recombinations: int = 0
+    recording: Optional["RecordingMonitor"] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.distribution = np.asarray(self.distribution, dtype=float)

@@ -364,6 +364,29 @@ def _hierarchy_sizes(trace: Optional[Dict[str, Any]]) -> List[int]:
     return [sizes[level] for level in sorted(sizes)]
 
 
+#: Stage of the ``repro stats`` stage line -> the solver-trace V-cycle
+#: event fields summed into it.
+_STAGE_FIELDS = (
+    ("smoothing", ("pre_smooth_time", "post_smooth_time")),
+    ("coarse build", ("coarse_build_time",)),
+    ("coarsest solve", ("coarsest_solve_time",)),
+)
+
+
+def _stage_line(trace: Optional[Dict[str, Any]], solve_s: float) -> str:
+    """Where a multigrid solve went: each stage's seconds summed over the
+    solver trace's V-cycle events, with its share of the ``markov.solve``
+    span (``solve_s``; shares are left out when it is unknown)."""
+    events = (trace or {}).get("vcycle_events") or []
+    parts = []
+    for label, fields in _STAGE_FIELDS:
+        seconds = sum(e.get(f, 0.0) for e in events for f in fields)
+        share = f" ({seconds / solve_s:.1%})" if solve_s > 0 else ""
+        parts.append(f"{label} {seconds:.4f} s{share}")
+    whole = f" of markov.solve {solve_s:.4f} s" if solve_s > 0 else ""
+    return "multigrid stages: " + ", ".join(parts) + whole
+
+
 def format_run_manifest(manifest: Dict[str, Any]) -> str:
     """Human-readable rendering of a run manifest (``repro stats``)."""
     lines: List[str] = []
@@ -447,6 +470,9 @@ def format_run_manifest(manifest: Dict[str, Any]) -> str:
             "accepted"
             + (", levels " + "→".join(map(str, sizes)) if sizes else "")
         )
+        if sizes:
+            solve_s = (manifest.get("stages") or {}).get("markov.solve", 0.0)
+            lines.append(_stage_line(trace, solve_s))
     snapshot = (manifest.get("metrics") or {}).get("snapshot") or {}
     if snapshot:
         lines.append(f"metrics ({len(snapshot)}):")

@@ -26,6 +26,10 @@ the uninstrumented cost of the hooks is a single ``ContextVar.get()``:
     JSON document.  Each stack is prefixed with the innermost open
     :mod:`repro.obs` span, so flamegraphs read per pipeline stage.
 
+The multigrid stage cells (``multigrid.L<k>``: smoothing, coarse build,
+coarsest solve) are not timed here: :func:`record_vcycles` sums them from
+the solver's own V-cycle events when a solve ends.
+
 Typical use::
 
     from repro.obs import profile
@@ -61,6 +65,7 @@ __all__ = [
     "get_profile_session",
     "instrument_operator",
     "profiled",
+    "record_vcycles",
 ]
 
 #: Schema tag of a session snapshot (the manifest ``profile`` section).
@@ -310,10 +315,6 @@ class ProfileSession:
             self._hist.observe(seconds, role=role, op=kind)
             self._bytes_counter.inc(nbytes, role=role, op=kind)
 
-    def record_stage(self, role: str, kind: str, seconds: float) -> None:
-        """Attribute stage time with no vector traffic (multigrid levels)."""
-        self.record(role, kind, seconds, 0)
-
     # -- snapshot -------------------------------------------------------- #
 
     def hot_path(self, limit: int = 10) -> List[Dict[str, Any]]:
@@ -461,6 +462,36 @@ def profiled(
         if session.stack_profiler is not None:
             session.stack_profiler.stop()
         _ACTIVE_SESSION.reset(token)
+
+
+#: ``VCycleLevelEvent`` field -> the stage cell of its level it feeds.
+_VCYCLE_STAGES = (
+    ("pre_smooth_time", "smooth.pre"),
+    ("post_smooth_time", "smooth.post"),
+    ("coarse_build_time", "coarse_build"),
+    ("coarsest_solve_time", "coarsest_solve"),
+)
+
+
+def record_vcycles(events) -> None:
+    """Fold a multigrid solve's V-cycle level events into the active session.
+
+    Each event adds its stage times to the ``smooth.pre`` /
+    ``smooth.post`` / ``coarse_build`` / ``coarsest_solve`` cells of the
+    ``multigrid.L<level>`` role (one call per stage that ran, no bytes),
+    so a cell's seconds are exactly the sum of its level's event times.
+    The multigrid solver calls this once, when its solve ends; without a
+    session it does nothing.
+    """
+    session = _ACTIVE_SESSION.get()
+    if session is None:
+        return
+    for event in events:
+        role = f"multigrid.L{event.level}"
+        for field, kind in _VCYCLE_STAGES:
+            seconds = getattr(event, field)
+            if seconds:
+                session.record(role, kind, seconds, 0)
 
 
 def instrument_operator(op, role: str):

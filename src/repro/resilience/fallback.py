@@ -290,8 +290,8 @@ def resilient_stationary(
     tol, x0, monitor:
         As for :func:`~repro.markov.stationary.stationary_distribution`;
         the monitor sees every attempt's telemetry (fresh ``solve_started``
-        per attempt -- pass a :class:`~repro.markov.monitor.TeeMonitor`
-        of fresh recorders to keep them separate).
+        per attempt).  The winning attempt's own recording is on the
+        result (``outcome.result.recording``).
     checkpoint_path:
         When given, the winning attempt's iterates are snapshotted there
         every ``checkpoint_interval`` iterations

@@ -30,7 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.markov.monitor import SolverMonitor
+from repro.markov.monitor import SolverMonitor, VCycleLevelEvent
 from repro.resilience.errors import (
     BudgetExceeded,
     NumericalContamination,
@@ -123,9 +123,9 @@ class GuardedMonitor:
         self.method = method
         self.tol = tol
 
-    def vcycle_level(self, *args) -> None:
+    def vcycle_level(self, event: VCycleLevelEvent) -> None:
         if self.inner is not None:
-            self.inner.vcycle_level(*args)
+            self.inner.vcycle_level(event)
 
     def solve_finished(
         self, converged: bool, iterations: int, residual: float, elapsed: float

@@ -132,6 +132,37 @@ class TestAnalyzeCDR:
         assert "COUNTER: 3" in a.report()
 
 
+class TestSolverRecording:
+    def test_escalated_run_records_the_winning_attempt(self):
+        # One V-cycle cannot converge at M=128, so the resilient chain
+        # escalates past multigrid; the recording is the winner's.
+        spec = small_spec(n_phase_points=128, counter_length=8)
+        analysis = analyze_cdr(
+            spec, solver="multigrid", resilience=True, max_iter=1
+        )
+        attempts = [
+            (e["method"], e["status"])
+            for e in analysis.resilience_events
+            if e["event"] == "solver_attempt"
+        ]
+        assert attempts[0] == ("multigrid", "failed")
+        assert attempts[-1][1] == "converged"
+        result = analysis.solver_result
+        rec = analysis.solver_recording
+        assert rec is result.recording
+        assert rec.method == result.method
+        assert rec.n_iterations == rec.iterations == result.iterations
+
+    def test_caller_monitor_sees_the_solve(self):
+        from repro.markov import RecordingMonitor
+
+        mon = RecordingMonitor()
+        analysis = analyze_cdr(small_spec(), solver="power", monitor=mon)
+        assert mon is not analysis.solver_recording
+        assert mon.events == analysis.solver_recording.events
+        assert mon.method == "power"
+
+
 class TestPaperShapeClaims:
     """The qualitative claims of Figures 4 and 5, as assertions."""
 

@@ -31,7 +31,7 @@ class TestProtocol:
         m = NullMonitor()
         m.solve_started("power", 10, 1e-10)
         m.iteration_finished(1, 0.5, 0.001)
-        m.vcycle_level(1, 0, 10, 28, 5, 0.0, 0.0)
+        m.vcycle_level(VCycleLevelEvent(1, 0, 10, 28, 5, 0.0, 0.0))
         m.solve_finished(True, 1, 0.5, 0.001)  # no state, nothing to assert
 
 
@@ -68,7 +68,7 @@ class TestTeeMonitor:
         tee = TeeMonitor(a, b)
         tee.solve_started("jacobi", 8, 1e-8)
         tee.iteration_finished(1, 0.1, 0.01)
-        tee.vcycle_level(1, 0, 8, 20, 4, 0.001, 0.002)
+        tee.vcycle_level(VCycleLevelEvent(1, 0, 8, 20, 4, 0.001, 0.002))
         tee.solve_finished(True, 1, 0.1, 0.01)
         for m in (a, b):
             assert m.method == "jacobi"
@@ -170,6 +170,7 @@ class TestTraceExport:
         assert set(first) == {
             "cycle", "level", "n_states", "nnz", "n_blocks",
             "pre_smooth_time", "post_smooth_time",
+            "coarse_build_time", "coarsest_solve_time",
         }
 
     def test_write_to_file_object(self, two_state_chain):

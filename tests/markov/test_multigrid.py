@@ -184,6 +184,34 @@ class TestMultigrid:
         ref = solve_direct(birth_death_chain.P).distribution
         assert np.abs(res.distribution - ref).sum() < 1e-6
 
+    def test_declined_level_times_its_direct_solve(self):
+        # coarsest_size < n <= 8 * coarsest_size: a level the strategy
+        # declines is solved directly, and that time is recorded.
+        from repro.obs.profile import profiled
+
+        chain = big_birth_death(64)
+        with profiled(metrics=False) as session:
+            res = solve_multigrid(
+                chain, strategy=lambda level, P: None, coarsest_size=16
+            )
+        events = res.recording.vcycle_events
+        assert [e.cycle for e in events] == list(range(1, res.iterations + 1))
+        for e in events:
+            assert e.level == 0 and e.n_blocks == 0
+            assert e.coarsest_solve_time > 0.0
+        cell = session.operators["multigrid.L0"]["coarsest_solve"]
+        assert cell[1] == sum(e.coarsest_solve_time for e in events)
+
+    def test_levels_used_describes_the_latest_solve(self):
+        solver = MultigridSolver(
+            options=MultigridOptions(coarsest_size=32, tol=1e-9)
+        )
+        solver.solve(big_birth_death(2000).P)
+        deep = solver.levels_used
+        solver.solve(big_birth_death(20).P)
+        assert deep >= 4
+        assert solver.levels_used == 1
+
     @given(random_chains(min_states=5, max_states=40))
     @settings(max_examples=15, deadline=None)
     def test_matches_direct_on_random_chains(self, chain):

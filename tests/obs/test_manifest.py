@@ -191,6 +191,33 @@ class TestWriteLoadFormat:
         assert {e["level"] for e in events if e["cycle"] == 1} == {0, 1}
         text = format_run_manifest(m)
         assert "recombinations accepted, levels 3840→512\n" in text
+        solve_s = m["stages"]["markov.solve"]
+        assert f" of markov.solve {solve_s:.4f} s\n" in text
+
+    def test_stage_line_shares_are_of_the_solve_span(self):
+        event = dict(nnz=0, n_blocks=0, pre_smooth_time=0.0,
+                     post_smooth_time=0.0, coarse_build_time=0.0,
+                     coarsest_solve_time=0.0)
+        trace = {"vcycle_events": [
+            dict(event, cycle=1, level=0, n_states=4096, n_blocks=512,
+                 pre_smooth_time=0.25, post_smooth_time=0.125,
+                 coarse_build_time=0.5),
+            dict(event, cycle=1, level=1, n_states=512,
+                 coarsest_solve_time=0.25),
+            dict(event, cycle=2, level=0, n_states=4096, n_blocks=512,
+                 pre_smooth_time=0.125),
+        ]}
+        m = {"schema": RUN_TRACE_SCHEMA, "kind": "analysis",
+             "stages": {"cdr.build_tpm": 8.0, "markov.solve": 2.0},
+             "results": {"solver_method": "multigrid", "solver_iterations": 2},
+             "solver_trace": dict(trace, method="multigrid", iterations=2,
+                                  residual=1e-11)}
+        lines = format_run_manifest(m).splitlines()
+        assert (
+            "multigrid stages: smoothing 0.5000 s (25.0%), coarse build "
+            "0.5000 s (25.0%), coarsest solve 0.2500 s (12.5%) of "
+            "markov.solve 2.0000 s"
+        ) in lines
 
     def test_levels_read_from_the_first_cycle(self):
         event = dict(nnz=0, n_blocks=0, pre_smooth_time=0.0,

@@ -251,6 +251,46 @@ class TestSessionExports:
             session.collapsed_stacks()
 
 
+class TestStageCellsFromTrace:
+    """The session's ``multigrid.L<k>`` cells derive from the solver's own
+    V-cycle events, so the two views of one solve agree exactly."""
+
+    STAGES = (
+        ("pre_smooth_time", "smooth.pre"),
+        ("post_smooth_time", "smooth.post"),
+        ("coarse_build_time", "coarse_build"),
+        ("coarsest_solve_time", "coarsest_solve"),
+    )
+
+    @pytest.mark.parametrize("backend", ["assembled", "matrix-free"])
+    def test_cells_equal_trace_sums(self, backend):
+        from repro import CDRSpec, analyze_cdr
+
+        # EXT-OP design at M=128: 3,840 states, levels 3840 -> 512.
+        spec = CDRSpec(
+            n_phase_points=128, n_clock_phases=16, counter_length=8,
+            max_run_length=2, nw_std=0.08, nw_atoms=9,
+        )
+        with profiled(metrics=False) as session:
+            analysis = analyze_cdr(spec, solver="multigrid", backend=backend)
+        expected = {}
+        for event in analysis.solver_recording.vcycle_events:
+            cells = expected.setdefault(f"multigrid.L{event.level}", {})
+            for field, kind in self.STAGES:
+                cells[kind] = cells.get(kind, 0.0) + getattr(event, field)
+        roles = {r for r in session.operators if r.startswith("multigrid.L")}
+        assert roles == set(expected) == {"multigrid.L0", "multigrid.L1"}
+        for role, cells in expected.items():
+            ops = session.operators[role]
+            for kind, seconds in cells.items():
+                if seconds:
+                    assert ops[kind][1] == seconds, (role, kind)
+                else:
+                    assert kind not in ops, (role, kind)
+        recorded = {kind for role in roles for kind in session.operators[role]}
+        assert recorded == {kind for _, kind in self.STAGES}
+
+
 class TestMultigridCoarsestUnwrap:
     def test_instrumented_assembled_keeps_direct_coarsest(self):
         # A chain small enough to be its own coarsest level must get the
